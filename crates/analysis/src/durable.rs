@@ -566,8 +566,49 @@ mod tests {
             live.collection.unwrap().accepted,
             "replay recovered a different record count than were admitted"
         );
+        // The evolution figures of the offline replay match the live
+        // streaming analysis exactly (same reports, same boundaries).
         assert_eq!(replayed.fig1a.total.points, live.fig1a.total.points);
+        assert_eq!(replayed.fig5.indegree.points, live.fig5.indegree.points);
         assert_eq!(replayed.fig8.all.points, live.fig8.all.points);
+        assert_eq!(
+            replayed.sessions.map(|s| s.sessions),
+            live.sessions.map(|s| s.sessions)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn server_outage_marks_samples_partial_in_live_and_replay() {
+        use magellan_netsim::FaultWindow;
+        let clean = MagellanStudy::new(quick_config(42)).run();
+        let mut cfg = quick_config(42);
+        cfg.faults.server_outages = vec![FaultWindow::new(
+            SimTime::at(0, 9, 0),
+            SimTime::at(0, 13, 0),
+        )];
+        let faulty = MagellanStudy::new(cfg.clone()).run();
+        assert!(
+            !faulty.partial_samples.is_empty(),
+            "no sample flagged partial"
+        );
+        assert!(faulty
+            .partial_samples
+            .iter()
+            .all(|p| (0.0..1.0).contains(&p.coverage)));
+        assert!(
+            faulty.fig1a.stable.len() < clean.fig1a.stable.len(),
+            "partial samples were not excluded from the series"
+        );
+        // The replay path over the archived (buffered + retransmitted)
+        // trace marks exactly the same holes.
+        let dir = tempdir("outage");
+        let study = DurableStudy::new(&dir, cfg, durable_config());
+        study.run().unwrap();
+        let offline = study.analyze_archive().unwrap();
+        assert_eq!(offline.partial_samples, faulty.partial_samples);
+        assert_eq!(offline.fig1a.stable.points, faulty.fig1a.stable.points);
+        assert_eq!(offline.fig5.indegree.points, faulty.fig5.indegree.points);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

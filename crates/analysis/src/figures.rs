@@ -448,9 +448,6 @@ pub struct StudyReport {
     /// real [`magellan_trace::TraceServer`] (None for the in-process
     /// sink path).
     pub collection: Option<magellan_trace::ServerStats>,
-    /// Lossy-channel statistics when datagram loss/corruption was
-    /// injected between peers and the server.
-    pub loss: Option<magellan_trace::loss::LossStats>,
     /// Archive-recovery accounting when the report stream was
     /// replayed from a segmented on-disk archive (None for live
     /// runs — a resumed live study re-reads its own archive prefix
@@ -520,13 +517,6 @@ impl StudyReport {
                 out,
                 "Collection — accepted {} | rejected {} | bounced (server down) {} | duplicates absorbed {}",
                 cs.accepted, cs.rejected, cs.unavailable, cs.duplicates
-            );
-        }
-        if let Some(ls) = &self.loss {
-            let _ = writeln!(
-                out,
-                "Datagram channel — sent {} | delivered {} | dropped {} | corrupted {} | rejected by server {}",
-                ls.sent, ls.delivered, ls.dropped, ls.corrupted, ls.rejected_by_server
             );
         }
         if let Some(rc) = &self.recovery {

@@ -153,30 +153,6 @@ impl MagellanStudy {
         report.sim = summary;
         report
     }
-
-    /// Runs the analysis over an existing trace (for example one
-    /// reloaded from JSON lines) instead of simulating — the
-    /// replay-from-archive mode a measurement group actually works
-    /// in. Reports are re-streamed in timestamp order; `db` must be
-    /// the ISP mapping the trace was collected under (the default
-    /// synthetic database for traces produced by this repository's
-    /// simulator with default shares).
-    pub fn analyze_trace(
-        &self,
-        store: &magellan_trace::TraceStore,
-        db: &IspDatabase,
-    ) -> StudyReport {
-        let mut acc = Accumulator::new(&self.cfg, db.clone());
-        let mut order: Vec<usize> = (0..store.reports().len()).collect();
-        order.sort_by_key(|&i| {
-            let r = &store.reports()[i];
-            (r.time, r.addr)
-        });
-        for i in order {
-            acc.ingest(store.reports()[i].clone());
-        }
-        acc.finish()
-    }
 }
 
 /// The last two reports of one peer (two suffice: sampling lags the
@@ -797,62 +773,6 @@ mod tests {
             "mean indegree {}",
             report.fig5.indegree.mean()
         );
-    }
-
-    #[test]
-    fn trace_replay_matches_live_analysis() {
-        use magellan_netsim::IspDatabase;
-        // Collect the trace of a run, then re-analyze it offline: the
-        // evolution figures must match the live streaming analysis
-        // exactly (same reports, same boundaries).
-        let cfg = quick_config();
-        let scenario = cfg.scenario();
-        let mut sim = magellan_overlay::OverlaySim::new(scenario, cfg.sim.clone());
-        let db: IspDatabase = sim.isp_database().clone();
-        let (store, _) = sim.run_collecting().expect("run succeeds");
-        let offline = MagellanStudy::new(cfg.clone()).analyze_trace(&store, &db);
-        let live = MagellanStudy::new(cfg).run();
-        assert_eq!(offline.fig1a.total.points, live.fig1a.total.points);
-        assert_eq!(offline.fig5.indegree.points, live.fig5.indegree.points);
-        assert_eq!(offline.fig8.all.points, live.fig8.all.points);
-        assert_eq!(
-            offline.sessions.map(|s| s.sessions),
-            live.sessions.map(|s| s.sessions)
-        );
-    }
-
-    #[test]
-    fn server_outage_marks_samples_partial_in_live_and_replay() {
-        use magellan_netsim::FaultWindow;
-        let clean = MagellanStudy::new(quick_config()).run();
-        let mut cfg = quick_config();
-        cfg.faults.server_outages = vec![FaultWindow::new(
-            SimTime::at(0, 9, 0),
-            SimTime::at(0, 13, 0),
-        )];
-        let faulty = MagellanStudy::new(cfg.clone()).run();
-        assert!(
-            !faulty.partial_samples.is_empty(),
-            "no sample flagged partial"
-        );
-        assert!(faulty
-            .partial_samples
-            .iter()
-            .all(|p| (0.0..1.0).contains(&p.coverage)));
-        assert!(
-            faulty.fig1a.stable.len() < clean.fig1a.stable.len(),
-            "partial samples were not excluded from the series"
-        );
-        // The replay path over the collected (buffered + retransmitted)
-        // trace marks exactly the same holes.
-        let scenario = cfg.scenario();
-        let mut sim = magellan_overlay::OverlaySim::new(scenario, cfg.sim.clone());
-        let db = sim.isp_database().clone();
-        let (store, _) = sim.run_collecting().expect("run succeeds");
-        let offline = MagellanStudy::new(cfg).analyze_trace(&store, &db);
-        assert_eq!(offline.partial_samples, faulty.partial_samples);
-        assert_eq!(offline.fig1a.stable.points, faulty.fig1a.stable.points);
-        assert_eq!(offline.fig5.indegree.points, faulty.fig5.indegree.points);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! (daily-peak extraction, averaging, CSV emission).
 
 use magellan_netsim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One named metric curve.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     /// Curve label (legend entry).
     pub name: String,

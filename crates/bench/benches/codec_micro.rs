@@ -1,11 +1,9 @@
-//! Micro-benchmarks of the trace codecs: the wire datagram format and
-//! the JSON-lines archive format, on realistic report sizes (the
-//! paper's reports carry ~40-partner lists).
+//! Micro-benchmarks of the wire datagram codec on realistic report
+//! sizes (the paper's reports carry ~40-partner lists).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use magellan_bench::bench_trace;
 use magellan_netsim::{PeerAddr, SimTime};
-use magellan_trace::{jsonl, wire, BufferMap, PartnerRecord, PeerReport};
+use magellan_trace::{wire, BufferMap, PartnerRecord, PeerReport};
 use magellan_workload::ChannelId;
 use std::hint::black_box;
 
@@ -37,7 +35,6 @@ fn bench_codecs(c: &mut Criterion) {
     for &partners in &[0usize, 10, 40, 120] {
         let report = synthetic_report(partners);
         let datagram = wire::encode(&report);
-        let line = jsonl::to_json_line(&report);
         g.bench_with_input(
             BenchmarkId::new("wire_encode", partners),
             &report,
@@ -48,39 +45,9 @@ fn bench_codecs(c: &mut Criterion) {
             &datagram,
             |b, d| b.iter(|| black_box(wire::decode(&mut d.clone()).unwrap())),
         );
-        g.bench_with_input(
-            BenchmarkId::new("jsonl_encode", partners),
-            &report,
-            |b, r| b.iter(|| black_box(jsonl::to_json_line(black_box(r)))),
-        );
-        g.bench_with_input(BenchmarkId::new("jsonl_decode", partners), &line, |b, l| {
-            b.iter(|| black_box(jsonl::from_json_line(black_box(l)).unwrap()))
-        });
     }
     g.finish();
 }
 
-fn bench_store_roundtrip(c: &mut Criterion) {
-    let trace = bench_trace();
-    let mut g = c.benchmark_group("trace_store");
-    g.sample_size(10);
-    g.bench_function("write_jsonl_full_trace", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(1 << 20);
-            trace.store.write_jsonl(&mut buf).unwrap();
-            black_box(buf.len())
-        })
-    });
-    let mut archived = Vec::new();
-    trace.store.write_jsonl(&mut archived).unwrap();
-    g.bench_function("read_jsonl_full_trace", |b| {
-        b.iter(|| {
-            let store = magellan_trace::TraceStore::read_jsonl(black_box(&archived[..])).unwrap();
-            black_box(store.len())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_codecs, bench_store_roundtrip);
+criterion_group!(benches, bench_codecs);
 criterion_main!(benches);

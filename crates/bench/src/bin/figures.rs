@@ -4,21 +4,34 @@
 //! cargo run --release -p magellan-bench --bin figures -- \
 //!     [--scale 0.01] [--days 14] [--seed 2006] [--sample-mins 60] \
 //!     [--fig all|1a|1b|2|3|4|5|6|7|8] [--csv-dir out/] [--svg-dir out/] \
-//!     [--save-trace trace.jsonl] [--trace trace.jsonl]
+//!     [--isp NAME] [--archive DIR]
 //! ```
 //!
-//! `--save-trace` streams every report of the run to a JSON-lines
-//! file; `--trace` skips the simulation and re-analyzes such an
-//! archive (the workflow a measurement group actually has); `--svg-dir`
-//! renders each figure as an SVG chart.
+//! `--archive` skips the simulation and replays the archive of a
+//! `magellan study` run directory through the analysis (the workflow
+//! a measurement group actually has); the study parameters then come
+//! from that directory's `study.cfg`, so `--scale`, `--days`, `--seed`
+//! and `--sample-mins` are rejected beside it. `--svg-dir` renders
+//! each figure as an SVG chart. A malformed flag value is an error,
+//! never a silent default.
 //!
 //! At `--scale 1.0` this is the paper's full population (~100k
 //! concurrent peers); the default 0.01 preserves every reported shape
 //! at ~1000 concurrent peers and runs in minutes.
 
+use magellan::analysis::durable::DurableStudy;
+use magellan::runcfg::load_params;
 use magellan_analysis::study::{MagellanStudy, StudyConfig};
 use magellan_analysis::timeseries::to_csv;
 use magellan_netsim::SimDuration;
+use std::path::PathBuf;
+use std::str::FromStr;
+
+/// The figure selectors `--fig` accepts.
+const FIGS: [&str; 10] = ["all", "1a", "1b", "2", "3", "4", "5", "6", "7", "8"];
+
+/// The study flags a run directory's `study.cfg` fixes.
+const STUDY_FLAGS: [&str; 4] = ["--scale", "--days", "--seed", "--sample-mins"];
 
 struct Args {
     scale: f64,
@@ -28,33 +41,59 @@ struct Args {
     fig: String,
     csv_dir: Option<String>,
     svg_dir: Option<String>,
-    save_trace: Option<String>,
-    trace: Option<String>,
-    isp: Option<String>,
+    isp: Option<magellan_netsim::Isp>,
+    archive: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |name: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == name)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let get = |name: &str| -> Result<Option<String>, String> {
+        match argv.iter().position(|a| a == name) {
+            None => Ok(None),
+            Some(i) => argv
+                .get(i + 1)
+                .cloned()
+                .map(Some)
+                .ok_or_else(|| format!("{name} needs a value")),
+        }
     };
-    Args {
-        scale: get("--scale").and_then(|v| v.parse().ok()).unwrap_or(0.01),
-        days: get("--days").and_then(|v| v.parse().ok()).unwrap_or(14),
-        seed: get("--seed").and_then(|v| v.parse().ok()).unwrap_or(2006),
-        sample_mins: get("--sample-mins")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(60),
-        fig: get("--fig").unwrap_or_else(|| "all".to_owned()),
-        csv_dir: get("--csv-dir"),
-        svg_dir: get("--svg-dir"),
-        save_trace: get("--save-trace"),
-        trace: get("--trace"),
-        isp: get("--isp"),
+    fn num<T: FromStr>(name: &str, v: Option<String>, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.map_or(Ok(default), |v| {
+            v.parse().map_err(|e| format!("{name} {v}: {e}"))
+        })
     }
+    let fig = get("--fig")?.unwrap_or_else(|| "all".to_owned());
+    if !FIGS.contains(&fig.as_str()) {
+        return Err(format!("--fig {fig}: expected one of {}", FIGS.join("|")));
+    }
+    let isp = get("--isp")?
+        .map(|name| {
+            parse_isp(&name).ok_or_else(|| {
+                format!("--isp {name}: unknown ISP (try Netcom, Telecom, Unicom, Tietong, Edu)")
+            })
+        })
+        .transpose()?;
+    let archive = get("--archive")?.map(PathBuf::from);
+    if archive.is_some() {
+        if let Some(flag) = STUDY_FLAGS.iter().find(|f| argv.contains(&f.to_string())) {
+            return Err(format!(
+                "{flag} conflicts with --archive: the run directory's study.cfg fixes it"
+            ));
+        }
+    }
+    Ok(Args {
+        scale: num("--scale", get("--scale")?, 0.01)?,
+        days: num("--days", get("--days")?, 14)?,
+        seed: num("--seed", get("--seed")?, 2006)?,
+        sample_mins: num("--sample-mins", get("--sample-mins")?, 60)?,
+        fig,
+        csv_dir: get("--csv-dir")?,
+        svg_dir: get("--svg-dir")?,
+        isp,
+        archive,
+    })
 }
 
 fn parse_isp(name: &str) -> Option<magellan_netsim::Isp> {
@@ -64,66 +103,42 @@ fn parse_isp(name: &str) -> Option<magellan_netsim::Isp> {
     })
 }
 
+/// Reports a usage or input error and exits non-zero.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args = parse_args();
-    eprintln!(
-        "running Magellan study: seed {}, scale {}, {} days, {}-minute samples",
-        args.seed, args.scale, args.days, args.sample_mins
-    );
-    let mut cfg = StudyConfig {
-        seed: args.seed,
-        scale: args.scale,
-        window_days: args.days,
-        sample_every: SimDuration::from_mins(args.sample_mins),
-        ..StudyConfig::default()
-    };
-    if let Some(name) = &args.isp {
-        match parse_isp(name) {
-            Some(isp) => cfg.isp_panel = isp,
-            None => {
-                eprintln!("unknown ISP '{name}' (try Netcom, Telecom, Unicom, Tietong, Edu)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let argv: Vec<String> = std::env::args().collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| fail(&e));
     let start = std::time::Instant::now();
-    let report = if let Some(path) = &args.trace {
-        // Replay an archived trace through the analysis.
-        let file = std::fs::File::open(path).expect("open trace archive");
-        let store = magellan_trace::TraceStore::read_jsonl(std::io::BufReader::new(file))
-            .expect("parse trace archive");
-        eprintln!("replaying {} archived reports from {path}", store.len());
-        let db = magellan_netsim::IspDatabase::default();
-        MagellanStudy::new(cfg).analyze_trace(&store, &db)
-    } else if let Some(path) = &args.save_trace {
-        // Simulate, archiving every report as it streams by.
-        use std::io::Write as _;
-        let file = std::fs::File::create(path).expect("create trace archive");
-        let writer = std::sync::Mutex::new(std::io::BufWriter::new(file));
-        let study = MagellanStudy::new(cfg.clone());
-        let scenario = cfg.scenario();
-        let mut sim = magellan_overlay::OverlaySim::new(scenario, cfg.sim.clone());
-        let db = sim.isp_database().clone();
-        let store = std::sync::Mutex::new(magellan_trace::TraceStore::new());
-        let summary = sim
-            .run(|r| {
-                let mut w = writer.lock().expect("writer");
-                w.write_all(magellan_trace::jsonl::to_json_line(&r).as_bytes())
-                    .and_then(|_| w.write_all(b"\n"))
-                    .expect("write trace archive");
-                store.lock().expect("store").push(r);
-            })
-            .expect("archival scenario is self-consistent");
-        writer
-            .into_inner()
-            .expect("writer")
-            .flush()
-            .expect("flush trace archive");
-        eprintln!("archived trace to {path}");
-        let mut report = study.analyze_trace(&store.into_inner().expect("store"), &db);
-        report.sim = summary;
-        report
+    let report = if let Some(dir) = &args.archive {
+        // Replay a study's archive through the analysis.
+        let params = load_params(dir).unwrap_or_else(|e| fail(&e));
+        let mut cfg = params.study_config();
+        if let Some(isp) = args.isp {
+            cfg.isp_panel = isp;
+        }
+        eprintln!("replaying the archive of {}", dir.display());
+        DurableStudy::new(dir, cfg, params.durable_config())
+            .analyze_archive()
+            .unwrap_or_else(|e| fail(&format!("replay {}: {e}", dir.display())))
     } else {
+        eprintln!(
+            "running Magellan study: seed {}, scale {}, {} days, {}-minute samples",
+            args.seed, args.scale, args.days, args.sample_mins
+        );
+        let mut cfg = StudyConfig {
+            seed: args.seed,
+            scale: args.scale,
+            window_days: args.days,
+            sample_every: SimDuration::from_mins(args.sample_mins),
+            ..StudyConfig::default()
+        };
+        if let Some(isp) = args.isp {
+            cfg.isp_panel = isp;
+        }
         MagellanStudy::new(cfg).run()
     };
     eprintln!("study complete in {:.1}s\n", start.elapsed().as_secs_f64());

@@ -6,10 +6,8 @@
 //! CCDF, log-binned smoothing, and spike (mode) detection that the
 //! paper uses to argue the distributions are not power laws.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of an empirical degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramPoint {
     /// Degree value (or geometric bin center for log-binned output).
     pub degree: f64,
@@ -18,7 +16,7 @@ pub struct HistogramPoint {
 }
 
 /// An empirical distribution over non-negative integer degrees.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DegreeHistogram {
     counts: Vec<u64>,
     total: u64,

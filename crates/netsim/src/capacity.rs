@@ -9,10 +9,9 @@
 
 use crate::isp::Isp;
 use crate::rng::{lognormal_median, weighted_index};
-use serde::{Deserialize, Serialize};
 
 /// Access technology classes of 2006-era broadband.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessClass {
     /// 56k dial-up: cannot sustain the stream.
     Modem,
@@ -49,7 +48,7 @@ impl AccessClass {
 }
 
 /// A sampled peer's access capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerCapacity {
     /// Total download capacity in Kbps.
     pub down_kbps: f64,
@@ -67,7 +66,7 @@ impl PeerCapacity {
 }
 
 /// Per-ISP access-class mix and capacity sampler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityModel {
     /// Class weights for non-Edu ISPs, in [`AccessClass::ALL`] order.
     pub default_mix: [f64; 5],

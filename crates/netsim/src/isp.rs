@@ -13,13 +13,12 @@
 
 use crate::rng::weighted_index;
 use rand::RngExt as _;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The ISPs distinguished by the study (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Isp {
     /// China Telecom — the largest share of UUSee peers.
     Telecom,
@@ -84,7 +83,7 @@ impl fmt::Display for Isp {
 ///
 /// The trace schema keys everything by IP address, exactly as the
 /// paper's reports do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerAddr(pub Ipv4Addr);
 
 impl PeerAddr {
@@ -116,7 +115,7 @@ impl From<Ipv4Addr> for PeerAddr {
 /// The paper's pie chart gives no numbers; these constants are read
 /// off its proportions: Telecom and Netcom dominate, a visible
 /// overseas wedge, the rest small.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IspShares {
     /// One weight per entry of [`Isp::ALL`]. Need not be normalized.
     pub weights: [f64; 7],
@@ -150,7 +149,7 @@ impl IspShares {
 }
 
 /// A range-based IP→ISP mapping database.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IspDatabase {
     /// Sorted, non-overlapping `(start, end_inclusive, isp)` ranges.
     ranges: Vec<(u32, u32, Isp)>,

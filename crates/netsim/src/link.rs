@@ -15,10 +15,9 @@
 
 use crate::isp::Isp;
 use crate::rng::lognormal_median;
-use serde::{Deserialize, Serialize};
 
 /// The three path classes the model distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathClass {
     /// Both endpoints in the same ISP.
     IntraIsp,
@@ -46,7 +45,7 @@ pub fn path_class(a: Isp, b: Isp) -> PathClass {
 }
 
 /// Sampled quality of one directed connection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQuality {
     /// Round-trip time in milliseconds.
     pub rtt_ms: f64,
@@ -56,7 +55,7 @@ pub struct LinkQuality {
 }
 
 /// Median RTT / throughput per path class plus jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Median RTT (ms) for intra-ISP paths.
     pub intra_rtt_ms: f64,

@@ -11,10 +11,9 @@
 
 use crate::isp::Isp;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A half-open outage window `[start, end)` in simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultWindow {
     /// First instant of the outage (inclusive).
     pub start: SimTime,
@@ -107,7 +106,7 @@ pub fn uncovered_fraction(windows: &[FaultWindow], lo: SimTime, hi: SimTime) -> 
 /// Paths inside either side, and paths touching ISPs in neither side,
 /// are unaffected — the model is a cut between two regions of the
 /// AS-level topology (a severed peering link), not a blackout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IspPartition {
     /// When the cut is active.
     pub window: FaultWindow,

@@ -6,14 +6,11 @@
 //! translates it into day-of-week / hour-of-day, flags the weekend,
 //! and knows the Mid-Autumn flash-crowd instant (9 p.m. Oct 6).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A span of simulated time, in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -89,9 +86,7 @@ impl fmt::Display for SimDuration {
 
 /// An instant of simulated time: milliseconds since the study origin
 /// (2006-10-01 00:00 GMT+8).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -185,7 +180,7 @@ impl fmt::Display for SimTime {
 }
 
 /// Day of the week.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Weekday {
     Sun,
@@ -234,7 +229,7 @@ impl fmt::Display for Weekday {
 /// October 1st, 2006 was a Sunday; the window runs two weeks; the
 /// Mid-Autumn Festival flash crowd hit at 9 p.m. on Friday, October
 /// 6th (day index 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StudyCalendar {
     /// Number of days in the study window.
     pub window_days: u64,

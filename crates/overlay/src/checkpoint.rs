@@ -7,8 +7,7 @@
 //! tables, the crash-expiry queue, all five RNG stream states, the
 //! join cursor, pending departures, and the running summary.
 //!
-//! The byte codec here is hand-rolled (the workspace's `serde` is a
-//! marker-trait stub by design): fixed-width big-endian integers,
+//! The byte codec here is hand-rolled: fixed-width big-endian integers,
 //! `f64` as IEEE-754 bits (bit-exact — a checkpointed EWMA must
 //! resume to the very same double), length-prefixed vectors. The
 //! envelope around these bytes — magic, version, fingerprint, CRC —

@@ -1234,6 +1234,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn total_report_loss_delivers_nothing() {
+        let mut s = tiny_scenario(1);
+        s.faults = FaultPlan {
+            base_report_loss: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut sim = OverlaySim::new(s, quick_cfg());
+        let (store, summary) = sim.run_collecting().expect("tiny run succeeds");
+        assert!(store.is_empty());
+        assert_eq!(summary.reports, 0);
+        assert!(summary.faults.reports_lost > 0);
+    }
+
+    #[test]
     fn crash_wave_kills_without_leave_messages() {
         use magellan_workload::CrashWave;
         let run = |faults: FaultPlan| {

@@ -5,10 +5,8 @@
 //! exchanges (§3.1). A [`BufferMap`] is that advertisement: a window
 //! start sequence number plus a bitmap.
 
-use serde::{Deserialize, Serialize};
-
 /// A peer's buffer map: which segments of the sliding window it holds.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BufferMap {
     start: u64,
     len: u16,

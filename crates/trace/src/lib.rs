@@ -19,10 +19,6 @@
 //! * [`atomicio`] — write-temp-then-atomic-rename artifact emission.
 //! * [`wire`] — a compact binary encoding of reports (the real system
 //!   shipped them as UDP datagrams).
-//! * [`jsonl`] — JSON-lines persistence, hand-rolled to keep the
-//!   dependency set to the approved crates.
-//! * [`loss`] — lossy-collection injection (dropped/corrupted
-//!   datagrams) for robustness testing.
 //! * [`server`] — the standalone trace server collecting reports,
 //!   with scheduled-downtime windows and `(peer, timestamp)`
 //!   deduplication of retransmitted reports.
@@ -38,8 +34,8 @@
 //!   buffers reports across server downtime and retransmits them,
 //!   and the networked [`NetUplink`] client shell with
 //!   capped-exponential retry.
-//! * [`store`] — the trace store with 10-minute bucketing and range
-//!   queries.
+//! * [`store`] — the in-memory trace store with 10-minute bucketing
+//!   and range queries (persisted as an [`archive`]).
 //! * [`snapshot`] — reconstruction of "continuous-time snapshots of
 //!   P2P streaming topologies": the stable-peer set, the known-IP
 //!   universe, and the directed partner multigraph at any instant.
@@ -49,7 +45,7 @@
 //! ## Example
 //!
 //! ```
-//! use magellan_trace::{jsonl, wire, BufferMap, PeerReport};
+//! use magellan_trace::{wire, BufferMap, PeerReport};
 //! use magellan_netsim::{PeerAddr, SimTime};
 //! use magellan_workload::ChannelId;
 //!
@@ -64,11 +60,12 @@
 //!     send_throughput_kbps: 120.0,
 //!     partners: vec![],
 //! };
-//! // Wire and JSON-lines codecs both round-trip.
+//! // A report survives the datagram encoding byte-for-byte, and a
+//! // truncated datagram fails to decode rather than panicking.
 //! let datagram = wire::encode(&report);
 //! assert_eq!(wire::decode(&mut datagram.clone()).unwrap(), report);
-//! let line = jsonl::to_json_line(&report);
-//! assert_eq!(jsonl::from_json_line(&line).unwrap(), report);
+//! let mut torn = datagram.slice(0..datagram.len() - 1);
+//! assert!(wire::decode(&mut torn).is_err());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,8 +77,6 @@ pub mod buffer;
 pub mod checkpoint;
 pub mod codec;
 pub mod gateway;
-pub mod jsonl;
-pub mod loss;
 pub mod report;
 pub mod segment;
 pub mod server;

@@ -11,7 +11,6 @@
 use crate::buffer::BufferMap;
 use magellan_netsim::{PeerAddr, SimDuration, SimTime};
 use magellan_workload::ChannelId;
-use serde::{Deserialize, Serialize};
 
 /// Delay before a freshly joined peer sends its first report: 20
 /// minutes, which is what makes reporters the "stable" backbone.
@@ -27,7 +26,7 @@ pub const REPORT_INTERVAL: SimDuration = SimDuration::from_mins(10);
 pub const ACTIVE_SEGMENT_THRESHOLD: u64 = 10;
 
 /// One partner entry of a report.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PartnerRecord {
     /// Partner's IP address.
     pub addr: PeerAddr,
@@ -61,7 +60,7 @@ impl PartnerRecord {
 }
 
 /// A complete peer report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeerReport {
     /// When the report was produced.
     pub time: SimTime,

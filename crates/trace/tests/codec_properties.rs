@@ -1,9 +1,9 @@
-//! Property tests over the trace codecs: any structurally valid
-//! report must survive both the wire format and the JSON-lines format
-//! byte-for-byte, and malformed inputs must fail cleanly.
+//! Property tests over the trace codec: any structurally valid
+//! report must survive the wire format byte-for-byte, and malformed
+//! inputs must fail cleanly.
 
 use magellan_netsim::{PeerAddr, SimTime};
-use magellan_trace::{jsonl, wire, BufferMap, PartnerRecord, PeerReport, TraceServer};
+use magellan_trace::{wire, BufferMap, PartnerRecord, PeerReport, TraceServer};
 use magellan_workload::ChannelId;
 use proptest::prelude::*;
 
@@ -80,29 +80,6 @@ proptest! {
         let mut short = bytes.slice(0..cut.min(bytes.len().saturating_sub(1)));
         // Either EOF or (never) success-with-equal; must not panic.
         let _ = wire::decode(&mut short);
-    }
-
-    #[test]
-    fn jsonl_roundtrip(report in arb_report()) {
-        let line = jsonl::to_json_line(&report);
-        prop_assert!(!line.contains('\n'), "line breaks corrupt JSONL");
-        let back = jsonl::from_json_line(&line).expect("parse");
-        prop_assert_eq!(back, report);
-    }
-
-    #[test]
-    fn jsonl_parser_never_panics_on_mutations(report in arb_report(), idx in any::<prop::sample::Index>(), byte in any::<u8>()) {
-        let mut line = jsonl::to_json_line(&report).into_bytes();
-        let i = idx.index(line.len());
-        line[i] = byte;
-        if let Ok(s) = String::from_utf8(line) {
-            let _ = jsonl::from_json_line(&s); // may fail, must not panic
-        }
-    }
-
-    #[test]
-    fn jsonl_parser_never_panics_on_garbage(garbage in "\\PC*") {
-        let _ = jsonl::from_json_line(&garbage);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! channels with a Zipf tail.
 
 use magellan_netsim::rng::weighted_index_iter;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a channel within a [`ChannelDirectory`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub u16);
 
 impl ChannelId {
@@ -29,7 +28,7 @@ impl fmt::Display for ChannelId {
 }
 
 /// One live channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// Identifier (index into the directory).
     pub id: ChannelId,
@@ -42,7 +41,7 @@ pub struct Channel {
 }
 
 /// The set of channels a scenario streams, with popularity weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelDirectory {
     channels: Vec<Channel>,
 }

@@ -7,10 +7,9 @@
 //! small weekend multiplier.
 
 use magellan_netsim::{SimTime, StudyCalendar};
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative intensity as a function of time of day and weekday.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalProfile {
     /// Baseline (overnight trough) intensity.
     pub base: f64,

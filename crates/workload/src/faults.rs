@@ -17,7 +17,6 @@
 //! analysis layer flags the measurement holes the plan creates.
 
 use magellan_netsim::{FaultWindow, Isp, IspPartition, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A wave of ungraceful peer crashes at one instant.
@@ -25,7 +24,7 @@ use std::fmt;
 /// Crashed peers send no leave message and never deregister from the
 /// tracker by themselves; their partners only find out when transfers
 /// time out, and the tracker only after its liveness horizon lapses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashWave {
     /// The instant of the wave.
     pub at: SimTime,
@@ -35,7 +34,7 @@ pub struct CrashWave {
 
 /// A report-loss spike: extra datagram loss during a window,
 /// optionally confined to reporters inside one ISP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossSpike {
     /// When the spike is active.
     pub window: FaultWindow,
@@ -50,7 +49,7 @@ pub struct LossSpike {
 /// The default plan is empty: nothing fails, and a simulator driven
 /// by an empty plan draws nothing from its fault RNG stream, so
 /// fault-free runs stay byte-identical with pre-fault builds.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Windows during which the tracker answers no bootstrap or
     /// membership request.

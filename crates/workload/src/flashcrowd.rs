@@ -9,10 +9,9 @@
 
 use crate::channels::ChannelId;
 use magellan_netsim::{SimDuration, SimTime, StudyCalendar};
-use serde::{Deserialize, Serialize};
 
 /// One flash-crowd event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashCrowd {
     /// The instant of peak intensity.
     pub peak: SimTime,

@@ -17,7 +17,6 @@ use crate::flashcrowd::{combined_multiplier, FlashCrowd};
 use crate::session::SessionModel;
 use magellan_netsim::{RngFactory, SimDuration, SimTime, StudyCalendar};
 use rand::RngExt as _;
-use serde::{Deserialize, Serialize};
 
 /// Arrival rate (joins per hour) that yields the paper's ~100k
 /// concurrent peers at the evening peak when `scale = 1.0`, given the
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub const FULL_SCALE_PEAK_RATE_PER_HOUR: f64 = 390_000.0;
 
 /// One peer join handed to the overlay simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinEvent {
     /// When the peer joins.
     pub time: SimTime,

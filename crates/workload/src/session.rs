@@ -12,14 +12,13 @@
 
 use magellan_netsim::rng::lognormal_median;
 use magellan_netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The report latency that defines a "stable" peer: first report 20
 /// minutes after joining (paper §3.2).
 pub const STABLE_THRESHOLD: SimDuration = SimDuration::from_mins(20);
 
 /// Lognormal session-duration model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionModel {
     /// Median session length in minutes.
     pub median_mins: f64,

@@ -5,8 +5,9 @@
 # pass), the test suite, a loom smoke over the worker pool, and the
 # end-to-end smokes: fault schedule, crash recovery, the
 # multi-process loopback-ingest drill against magellan-traced, and
-# the chaos-ingest drill through the tracetool nemesis proxy. Run
-# from anywhere inside the repo.
+# the chaos-ingest drill through the tracetool nemesis proxy — and
+# finally the benchmark's own tests, so an API change that breaks the
+# perfbench worker fails here. Run from anywhere inside the repo.
 #
 # The two advisory clippy lints (unwrap_used, indexing_slicing) are
 # allowed here on purpose: their enforced counterpart is magellan-lint's
@@ -184,6 +185,20 @@ cmp "${CHAOS}/inproc.txt" "${CHAOS}/traced.txt"
     --profile tcp > "${CHAOS}/sched-b.txt"
 cmp "${CHAOS}/sched-a.txt" "${CHAOS}/sched-b.txt"
 rm -rf "${CHAOS}"
+
+stage "perfbench tests"
+# The benchmark worker (perfbench/, its own cargo workspace) builds
+# against this tree's public API; its tests run all three workloads
+# at a tiny scale through their correctness gates. Building it may
+# rewrite perfbench/Cargo.lock, so the committed lockfile is restored
+# afterwards.
+LOCK=$(mktemp)
+cp perfbench/Cargo.lock "${LOCK}"
+status=0
+python3 -m unittest discover -s perfbench/tests || status=$?
+cp "${LOCK}" perfbench/Cargo.lock
+rm -f "${LOCK}"
+[ "${status}" -eq 0 ]
 
 stage "done"
 echo "==> all checks passed"

@@ -1,9 +1,9 @@
 //! Trace workbench: inspect and export archived traces.
 //!
 //! ```text
-//! tracetool stats    <trace.jsonl | archive-dir>
-//! tracetool sessions <trace.jsonl>
-//! tracetool snapshot <trace.jsonl> --at d,h,m [--scope stable|all]
+//! tracetool stats    <archive-dir>
+//! tracetool sessions <archive-dir>
+//! tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all]
 //!                    [--format summary|edges|dot] [--out file]
 //! tracetool inspect  <archive-dir>
 //! tracetool fsck     <archive-dir>
@@ -13,16 +13,18 @@
 //!                    [--profile tcp|udp|off]
 //! ```
 //!
-//! Traces come from `figures --save-trace` (or any §3.2-conformant
-//! JSON-lines archive). `snapshot --format edges|dot` exports the
-//! reconstructed topology for networkx / Graphviz. `inspect` and
-//! `fsck` operate on the segmented binary archives written by
-//! `magellan study`: `inspect` summarizes contents and recovery
+//! Every `<archive-dir>` is a segmented binary archive written by
+//! `magellan study` or `magellan-traced serve` (the run directory
+//! holding it works too). `stats`, `sessions` and `snapshot` read the
+//! whole archive into a trace store: `stats` prints trace volume,
+//! recovery state and — when the run came through the networked
+//! service — the `magellan-traced` ingest accounting (admitted /
+//! deduped / shed / lost and whether the books balance); `snapshot
+//! --format edges|dot` exports the reconstructed topology for
+//! networkx / Graphviz. `inspect` and `fsck` stream the archive
+//! without holding it: `inspect` summarizes contents and recovery
 //! state, `fsck` exits non-zero when any frame was lost to damage.
-//! `stats` on a directory scans the segmented archive instead of a
-//! JSONL trace and adds the `magellan-traced` ingest accounting
-//! (admitted / deduped / shed / lost and whether the books balance)
-//! when the run came through the networked service.
+//! Malformed flag values are errors, never silently defaulted.
 //!
 //! `nemesis` is the deterministic chaos interposer for the hostile
 //! ingest drills: it proxies TCP connections and UDP datagrams to
@@ -40,20 +42,15 @@ use magellan::graph::export::{to_dot, to_edge_list};
 use magellan::graph::reciprocity::garlaschelli_reciprocity;
 use magellan::graph::smallworld::{assess, SmallWorldConfig};
 use magellan::netsim::{IspDatabase, SimTime};
-use magellan::trace::{atomic_write, SnapshotBuilder, TraceStats, TraceStore};
-use std::io::BufReader;
+use magellan::trace::archive::read_archive;
+use magellan::trace::{atomic_write, RecoveryReport, SnapshotBuilder, TraceStats, TraceStore};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn load(path: &str) -> Result<TraceStore, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    TraceStore::read_jsonl(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  tracetool stats    <trace.jsonl | archive-dir>\n  tracetool sessions <trace.jsonl>\n  \
-         tracetool snapshot <trace.jsonl> --at d,h,m [--scope stable|all] [--format summary|edges|dot] [--out file]\n  \
+        "usage:\n  tracetool stats    <archive-dir>\n  tracetool sessions <archive-dir>\n  \
+         tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all] [--format summary|edges|dot] [--out file]\n  \
          tracetool inspect  <archive-dir>\n  tracetool fsck     <archive-dir>\n  \
          tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N] [--profile tcp|udp|off] [--port-file FILE]\n  \
          tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N] [--profile tcp|udp|off]"
@@ -345,9 +342,18 @@ mod nemesis {
                 .and_then(|i| args.get(i + 1))
                 .cloned()
         };
-        let seed = get("--seed")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(9);
+        let num = |name: &str, default: u64| -> Result<u64, String> {
+            get(name).map_or(Ok(default), |v| {
+                v.parse::<u64>().map_err(|e| format!("{name} {v}: {e}"))
+            })
+        };
+        let seed = match num("--seed", 9) {
+            Ok(v) => v,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode2::FAILURE;
+            }
+        };
         let (kind, profile) = match profile_of(get("--profile").as_deref().unwrap_or("tcp")) {
             Ok(v) => v,
             Err(e) => {
@@ -361,9 +367,13 @@ mod nemesis {
                 eprintln!("error: --print-schedule wants an event count");
                 return ExitCode2::FAILURE;
             };
-            let flows = get("--flows")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(4);
+            let flows = match num("--flows", 4) {
+                Ok(v) => v,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode2::FAILURE;
+                }
+            };
             print!("{}", render_schedule(seed, kind, profile, flows, events));
             return ExitCode2::SUCCESS;
         }
@@ -420,6 +430,20 @@ fn archive_dir(path: &str) -> PathBuf {
     }
 }
 
+/// Prints the damage a read had to skip.
+fn print_recovery(report: &RecoveryReport) {
+    println!(
+        "segments           : {} ({} sealed)",
+        report.segments_read, report.sealed_segments
+    );
+    println!("corrupt regions    : {}", report.corrupt_regions);
+    println!("bytes quarantined  : {}", report.bytes_quarantined);
+    println!(
+        "torn tail          : {}",
+        if report.truncated_tail { "yes" } else { "no" }
+    );
+}
+
 /// Streams an archive, printing recovery state; returns the exit code
 /// (`fsck` fails on any damage, `inspect` only on I/O errors).
 fn scan_archive(path: &str, strict: bool) -> ExitCode {
@@ -427,7 +451,7 @@ fn scan_archive(path: &str, strict: bool) -> ExitCode {
     let mut records = 0u64;
     let mut span: Option<(SimTime, SimTime)> = None;
     let mut reporters = std::collections::BTreeSet::new();
-    let report = match magellan::trace::archive::read_archive(&dir, |r| {
+    let report = match read_archive(&dir, |r| {
         records += 1;
         reporters.insert(r.addr.as_u32());
         span = Some(match span {
@@ -447,16 +471,7 @@ fn scan_archive(path: &str, strict: bool) -> ExitCode {
     if let Some((lo, hi)) = span {
         println!("time span          : {lo} .. {hi}");
     }
-    println!(
-        "segments           : {} ({} sealed)",
-        report.segments_read, report.sealed_segments
-    );
-    println!("corrupt regions    : {}", report.corrupt_regions);
-    println!("bytes quarantined  : {}", report.bytes_quarantined);
-    println!(
-        "torn tail          : {}",
-        if report.truncated_tail { "yes" } else { "no" }
-    );
+    print_recovery(&report);
     if strict && !report.is_clean() {
         eprintln!("fsck: archive sustained damage");
         return ExitCode::FAILURE;
@@ -464,13 +479,23 @@ fn scan_archive(path: &str, strict: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `stats` on a segmented archive: recovery state plus — when the run
-/// came through `magellan-traced` — the full ingest accounting and
-/// its balance verdict.
-fn archive_stats(path: &str) -> ExitCode {
-    let dir = archive_dir(path);
-    match magellan::trace::service::read_ingest_stats(&dir) {
-        Ok(Some(s)) => {
+/// Reads a whole archive into a trace store.
+fn load(dir: &Path) -> Result<(TraceStore, RecoveryReport), String> {
+    let mut store = TraceStore::new();
+    let report = read_archive(dir, |r| store.push(r))
+        .map_err(|e| format!("read archive {}: {e}", dir.display()))?;
+    Ok((store, report))
+}
+
+/// `stats`: the `magellan-traced` ingest accounting and its balance
+/// verdict when the archive has a service sidecar, then trace volume
+/// and recovery state.
+fn stats(dir: &Path) -> Result<(), String> {
+    let (store, report) = load(dir)?;
+    match magellan::trace::service::read_ingest_stats(dir)
+        .map_err(|e| format!("read ingest sidecar: {e}"))?
+    {
+        Some(s) => {
             println!("--- ingest (magellan-traced service) ---");
             println!("clients            : {}", s.clients);
             println!("sent               : {}", s.sent);
@@ -492,13 +517,101 @@ fn archive_stats(path: &str) -> ExitCode {
                 if s.balanced() { "yes" } else { "NO" }
             );
         }
-        Ok(None) => println!("--- ingest: no sidecar (in-process archive) ---"),
-        Err(e) => {
-            eprintln!("error: read ingest sidecar: {e}");
-            return ExitCode::FAILURE;
-        }
+        None => println!("--- ingest: no sidecar (in-process archive) ---"),
     }
-    scan_archive(path, false)
+    let s = TraceStats::compute(&store);
+    println!("archive            : {}", dir.display());
+    println!("reports            : {}", s.reports);
+    println!("wire volume        : {:.2} MB", s.wire_bytes as f64 / 1e6);
+    println!("mean report size   : {:.0} B", s.mean_report_bytes);
+    println!("distinct reporters : {}", s.distinct_reporters);
+    println!("distinct addresses : {}", s.distinct_addresses);
+    println!("mean partners      : {:.1}", s.mean_partners);
+    println!("active buckets     : {}", s.active_buckets);
+    println!("reports per bucket : {:.1}", s.reports_per_bucket);
+    if let Some((lo, hi)) = store.time_span() {
+        println!("time span          : {lo} .. {hi}");
+    }
+    print_recovery(&report);
+    Ok(())
+}
+
+fn sessions(dir: &Path) -> Result<(), String> {
+    let (store, _) = load(dir)?;
+    let s = summarize(&stable_sessions(&store)).ok_or("no sessions in trace")?;
+    println!("stable sessions    : {}", s.sessions);
+    println!("mean length        : {:.0} min", s.mean_mins);
+    println!("median length      : {:.0} min", s.median_mins);
+    println!("p90 length         : {:.0} min", s.p90_mins);
+    Ok(())
+}
+
+/// Parses `--at d,h,m`.
+fn parse_at(at: &str) -> Result<SimTime, String> {
+    let bad = || format!("--at {at}: expected day,hour,minute (e.g. 0,21,0)");
+    let parts = at
+        .split(',')
+        .map(|p| p.trim().parse::<u64>().map_err(|_| bad()))
+        .collect::<Result<Vec<u64>, String>>()?;
+    match parts[..] {
+        [d, h, m] if h < 24 && m < 60 => Ok(SimTime::at(d, h, m)),
+        _ => Err(bad()),
+    }
+}
+
+fn snapshot(dir: &Path, get: impl Fn(&str) -> Option<String>) -> Result<(), String> {
+    let t = parse_at(&get("--at").ok_or("snapshot needs --at d,h,m")?)?;
+    let scope = match get("--scope").as_deref() {
+        None | Some("stable") => NodeScope::StableOnly,
+        Some("all") => NodeScope::AllKnown,
+        Some(other) => return Err(format!("--scope {other}: expected stable or all")),
+    };
+    let format = get("--format").unwrap_or_else(|| "summary".to_owned());
+    if !matches!(format.as_str(), "summary" | "edges" | "dot") {
+        return Err(format!(
+            "--format {format}: expected summary, edges, or dot"
+        ));
+    }
+    let (store, _) = load(dir)?;
+    let snap = SnapshotBuilder::new(&store).at(t);
+    let reports: Vec<_> = snap.reports().cloned().collect();
+    let g = active_link_graph(&reports, scope);
+    let output = match format.as_str() {
+        "edges" => to_edge_list(&g),
+        "dot" => {
+            let isps = node_isps(&g, &IspDatabase::default());
+            to_dot(&g, &format!("snapshot_{t}"), |id, _| {
+                Some(isps[id.index()].name().to_owned())
+            })
+        }
+        _ => {
+            let sw = assess(&g, &SmallWorldConfig::default());
+            let rho = garlaschelli_reciprocity(&g)
+                .map(|v| format!("{v:+.3}"))
+                .unwrap_or_else(|_| "n/a".into());
+            format!(
+                "snapshot at {t}\nstable peers : {}\nknown peers  : {}\nnodes/edges  : {} / {}\nC vs C_rand  : {:.3} vs {:.4}\nL vs L_rand  : {:?} vs {:?}\nreciprocity  : {rho}\nsmall world  : {}\n",
+                snap.stable_count(),
+                snap.known_peers().len(),
+                g.node_count(),
+                g.edge_count(),
+                sw.c,
+                sw.c_rand,
+                sw.l,
+                sw.l_rand,
+                sw.is_small_world
+            )
+        }
+    };
+    match get("--out") {
+        Some(out) => {
+            atomic_write(Path::new(&out), output.as_bytes())
+                .map_err(|e| format!("write {out}: {e}"))?;
+            eprintln!("wrote {out}");
+        }
+        None => print!("{output}"),
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -519,114 +632,20 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    // Archive-directory commands never parse JSON lines.
-    match cmd.as_str() {
+    let dir = archive_dir(path);
+    let result = match cmd.as_str() {
         "inspect" => return scan_archive(path, false),
         "fsck" => return scan_archive(path, true),
-        "stats" if Path::new(path).is_dir() => return archive_stats(path),
-        _ => {}
-    }
-    let store = match load(path) {
-        Ok(s) => s,
+        "stats" => stats(&dir),
+        "sessions" => sessions(&dir),
+        "snapshot" => snapshot(&dir, get),
+        _ => return usage(),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    match cmd.as_str() {
-        "stats" => {
-            let s = TraceStats::compute(&store);
-            println!("reports            : {}", s.reports);
-            println!("wire volume        : {:.2} MB", s.wire_bytes as f64 / 1e6);
-            println!("mean report size   : {:.0} B", s.mean_report_bytes);
-            println!("distinct reporters : {}", s.distinct_reporters);
-            println!("distinct addresses : {}", s.distinct_addresses);
-            println!("mean partners      : {:.1}", s.mean_partners);
-            println!("active buckets     : {}", s.active_buckets);
-            println!("reports per bucket : {:.1}", s.reports_per_bucket);
-            if let Some((lo, hi)) = store.time_span() {
-                println!("time span          : {lo} .. {hi}");
-            }
-            ExitCode::SUCCESS
-        }
-        "sessions" => {
-            let sessions = stable_sessions(&store);
-            match summarize(&sessions) {
-                Some(s) => {
-                    println!("stable sessions    : {}", s.sessions);
-                    println!("mean length        : {:.0} min", s.mean_mins);
-                    println!("median length      : {:.0} min", s.median_mins);
-                    println!("p90 length         : {:.0} min", s.p90_mins);
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!("no sessions in trace");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "snapshot" => {
-            let Some(at) = get("--at") else {
-                eprintln!("snapshot needs --at d,h,m");
-                return ExitCode::FAILURE;
-            };
-            let parts: Vec<u64> = at
-                .split(',')
-                .filter_map(|p| p.trim().parse().ok())
-                .collect();
-            if parts.len() != 3 {
-                eprintln!("--at wants day,hour,minute (e.g. 0,21,0)");
-                return ExitCode::FAILURE;
-            }
-            let t = SimTime::at(parts[0], parts[1], parts[2]);
-            let scope = match get("--scope").as_deref() {
-                Some("all") => NodeScope::AllKnown,
-                _ => NodeScope::StableOnly,
-            };
-            let snap = SnapshotBuilder::new(&store).at(t);
-            let reports: Vec<_> = snap.reports().cloned().collect();
-            let g = active_link_graph(&reports, scope);
-            let db = IspDatabase::default();
-            let output = match get("--format").as_deref() {
-                Some("edges") => to_edge_list(&g),
-                Some("dot") => {
-                    let isps = node_isps(&g, &db);
-                    to_dot(&g, &format!("snapshot_{t}"), |id, _| {
-                        Some(isps[id.index()].name().to_owned())
-                    })
-                }
-                _ => {
-                    let sw = assess(&g, &SmallWorldConfig::default());
-                    let rho = garlaschelli_reciprocity(&g)
-                        .map(|v| format!("{v:+.3}"))
-                        .unwrap_or_else(|_| "n/a".into());
-                    format!(
-                        "snapshot at {t}\nstable peers : {}\nknown peers  : {}\nnodes/edges  : {} / {}\nC vs C_rand  : {:.3} vs {:.4}\nL vs L_rand  : {:?} vs {:?}\nreciprocity  : {rho}\nsmall world  : {}\n",
-                        snap.stable_count(),
-                        snap.known_peers().len(),
-                        g.node_count(),
-                        g.edge_count(),
-                        sw.c,
-                        sw.c_rand,
-                        sw.l,
-                        sw.l_rand,
-                        sw.is_small_world
-                    )
-                }
-            };
-            match get("--out") {
-                Some(out) => {
-                    if let Err(e) = atomic_write(Path::new(&out), output.as_bytes()) {
-                        eprintln!("write {out}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("wrote {out}");
-                }
-                None => print!("{output}"),
-            }
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
     }
 }

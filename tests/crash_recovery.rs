@@ -6,13 +6,18 @@
 //! eight, since resume restores every RNG stream and the metric
 //! kernels are schedule-independent. A flipped byte in a sealed
 //! segment must cost only the damaged frame, with the damage
-//! quantified in the replayed report.
+//! quantified in the replayed report. The archive-reading `tracetool`
+//! commands run against the same kind of archive.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn magellan_bin() -> &'static str {
     env!("CARGO_BIN_EXE_magellan")
+}
+
+fn tracetool_bin() -> &'static str {
+    env!("CARGO_BIN_EXE_tracetool")
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -192,6 +197,54 @@ fn corrupted_segment_costs_one_frame_and_is_reported() {
         (1..=4).contains(&lost),
         "one flipped byte should cost a frame or two, lost {lost}"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tracetool_reads_the_study_archive() {
+    let dir = temp_dir("tracetool");
+    let out = run(&study_args(&dir, 1));
+    assert!(out.status.success(), "study failed: {out:?}");
+    let tool = |args: &[&str]| {
+        Command::new(tracetool_bin())
+            .args(args)
+            .output()
+            .expect("spawn tracetool")
+    };
+    let text = |out: std::process::Output| {
+        assert!(out.status.success(), "tracetool failed: {out:?}");
+        String::from_utf8(out.stdout).expect("utf8 output")
+    };
+    let path = dir.to_string_lossy().into_owned();
+
+    let stats = text(tool(&["stats", &path]));
+    assert!(stats.contains("no sidecar"), "{stats}");
+    let reports: u64 = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("reports            : "))
+        .and_then(|v| v.parse().ok())
+        .expect("report count in stats");
+    assert!(reports > 100, "{stats}");
+    assert!(stats.contains("corrupt regions    : 0"), "{stats}");
+
+    let sessions = text(tool(&["sessions", &path]));
+    assert!(sessions.contains("stable sessions"), "{sessions}");
+
+    let edges = text(tool(&[
+        "snapshot", &path, "--at", "0,12,0", "--format", "edges",
+    ]));
+    let lines: Vec<&str> = edges.lines().collect();
+    assert!(!lines.is_empty(), "midday snapshot has no edges");
+    assert!(
+        lines.iter().all(|l| l.split_whitespace().count() == 3),
+        "edge list is not `source target weight` lines:\n{edges}"
+    );
+
+    // A malformed instant is rejected, not read as d0 01:00.
+    let bad = tool(&["snapshot", &path, "--at", "0,2x,1,0"]);
+    assert!(!bad.status.success(), "malformed --at accepted: {bad:?}");
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("--at"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

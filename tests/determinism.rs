@@ -12,8 +12,12 @@ use magellan::analysis::study::{MagellanStudy, StudyConfig};
 use magellan::netsim::{SimDuration, SimTime, StudyCalendar};
 use magellan::overlay::{OverlaySim, SimConfig};
 use magellan::prelude::*;
+use magellan::trace::{ArchiveConfig, ArchiveWriter};
 use magellan::workload::DiurnalProfile;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Every archive file (segments and manifest) concatenated in name
+/// order, each prefixed by its name.
 fn archive_bytes_with(seed: u64, faults: FaultPlan) -> Vec<u8> {
     let mut b = Scenario::builder(seed, 0.0004)
         .calendar(StudyCalendar { window_days: 1 })
@@ -25,10 +29,36 @@ fn archive_bytes_with(seed: u64, faults: FaultPlan) -> Vec<u8> {
     let mut sim = OverlaySim::new(scenario, SimConfig::default());
     let (store, summary) = sim.run_collecting().expect("run succeeds");
     assert!(summary.reports > 0, "a run with no reports proves nothing");
+    // Each call archives into its own directory: tests run in
+    // parallel and compare two same-seed archives.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "magellan-determinism-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut writer = ArchiveWriter::create(
+        &dir,
+        ArchiveConfig {
+            segment_bytes: 64 * 1024,
+        },
+    )
+    .expect("create archive");
+    for r in store.reports() {
+        writer.append(r).expect("append");
+    }
+    writer.finish().expect("seal archive");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read archive dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    files.sort();
     let mut buf = Vec::new();
-    store
-        .write_jsonl(&mut buf)
-        .expect("in-memory serialization succeeds");
+    for path in files {
+        buf.extend_from_slice(path.file_name().expect("name").as_encoded_bytes());
+        buf.extend(std::fs::read(&path).expect("read archive file"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
     buf
 }
 

@@ -1,11 +1,14 @@
 //! Integration of the simulator with the measurement substrate:
-//! simulated reports survive the wire codec, the JSON-lines store,
+//! simulated reports survive the wire codec, the segmented archive,
 //! and snapshot reconstruction unchanged.
 
 use magellan::netsim::{SimTime, StudyCalendar};
 use magellan::overlay::{OverlaySim, SimConfig};
 use magellan::prelude::*;
-use magellan::trace::{jsonl, wire, SnapshotBuilder, TraceServer, TraceStore};
+use magellan::trace::archive::read_archive;
+use magellan::trace::{
+    wire, ArchiveConfig, ArchiveWriter, SnapshotBuilder, TraceServer, TraceStore,
+};
 use magellan::workload::DiurnalProfile;
 use std::sync::OnceLock;
 
@@ -27,6 +30,37 @@ fn sim_store() -> &'static TraceStore {
     })
 }
 
+/// Writes `reports` to a fresh archive (small segments, so several
+/// seal) and reads it back into a store.
+fn through_archive<'a>(tag: &str, reports: impl IntoIterator<Item = &'a PeerReport>) -> TraceStore {
+    let dir = std::env::temp_dir().join(format!("magellan-roundtrip-{tag}-{}", std::process::id()));
+    let mut writer = ArchiveWriter::create(
+        &dir,
+        ArchiveConfig {
+            segment_bytes: 64 * 1024,
+        },
+    )
+    .expect("create archive");
+    for r in reports {
+        writer.append(r).expect("append");
+    }
+    writer.finish().expect("seal archive");
+    let mut back = TraceStore::new();
+    let recovery = read_archive(&dir, |r| back.push(r)).expect("read archive");
+    assert!(
+        recovery.is_clean(),
+        "fresh archive reads back damaged: {recovery:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    back
+}
+
+/// The simulated store, reloaded from its archive.
+fn reloaded_store() -> &'static TraceStore {
+    static STORE: OnceLock<TraceStore> = OnceLock::new();
+    STORE.get_or_init(|| through_archive("full", sim_store().reports()))
+}
+
 #[test]
 fn every_simulated_report_roundtrips_on_the_wire() {
     let store = sim_store();
@@ -38,21 +72,17 @@ fn every_simulated_report_roundtrips_on_the_wire() {
 }
 
 #[test]
-fn every_simulated_report_roundtrips_as_jsonl() {
+fn every_simulated_report_roundtrips_through_the_archive() {
     let store = sim_store();
-    for r in store.reports().iter().take(500) {
-        let line = jsonl::to_json_line(r);
-        let back = jsonl::from_json_line(&line).expect("simulated report parses");
-        assert_eq!(&back, r);
-    }
+    let first = &store.reports()[..500.min(store.len())];
+    let back = through_archive("first500", first);
+    assert_eq!(back.reports(), first);
 }
 
 #[test]
 fn store_persistence_preserves_everything() {
     let store = sim_store();
-    let mut buf = Vec::new();
-    store.write_jsonl(&mut buf).unwrap();
-    let reloaded = TraceStore::read_jsonl(&buf[..]).unwrap();
+    let reloaded = reloaded_store();
     assert_eq!(reloaded.len(), store.len());
     assert_eq!(reloaded.reports(), store.reports());
 }
@@ -60,12 +90,9 @@ fn store_persistence_preserves_everything() {
 #[test]
 fn snapshots_from_reloaded_store_match() {
     let store = sim_store();
-    let mut buf = Vec::new();
-    store.write_jsonl(&mut buf).unwrap();
-    let reloaded = TraceStore::read_jsonl(&buf[..]).unwrap();
     let t = SimTime::at(0, 12, 0);
     let a = SnapshotBuilder::new(store).at(t);
-    let b = SnapshotBuilder::new(&reloaded).at(t);
+    let b = SnapshotBuilder::new(reloaded_store()).at(t);
     assert_eq!(a.stable_count(), b.stable_count());
     assert_eq!(a.known_peers(), b.known_peers());
 }
