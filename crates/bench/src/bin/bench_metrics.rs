@@ -7,7 +7,7 @@
 //! one sans-I/O shard), plus the end-to-end latency of one study
 //! sample instant. Emits one
 //! JSON document on stdout; `scripts/bench.sh` redirects it to
-//! `BENCH_metrics.json`.
+//! `BENCH_metrics.json`. It takes no arguments.
 //!
 //! Numbers are wall-clock means from short calibrated loops — a
 //! regression baseline, not a statistics engine. `host_cores` is
@@ -108,6 +108,7 @@ struct Row {
 }
 
 fn main() {
+    magellan::cli::Command::new("bench_metrics").parse_env(); // takes no arguments
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let scales = [500usize, 2_000, 8_000];
     let thread_counts = [1usize, 8];

@@ -13,22 +13,17 @@
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::{Command, Flag};
 use magellan::graph::powerlaw;
 use magellan::graph::random::barabasi_albert;
 use magellan::netsim::SimTime;
 use magellan::prelude::*;
 
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let scale = arg("--scale", 0.002);
+    let args = Command::new("degree_census")
+        .flags(&[Flag::float("--scale", "F")])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
     println!("Degree census — scale {scale}\n");
 
     let cfg = StudyConfig {

@@ -5,26 +5,22 @@
 //! gracefully instead of lying.
 //!
 //! ```text
-//! cargo run --release --example faults -- [--scale 0.001] [--days 2] [--seed 2006]
+//! cargo run --release --example faults -- [--seed 2006] [--scale 0.001] [--days 2]
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::Command;
 use magellan::netsim::SimTime;
 use magellan::prelude::*;
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use magellan::runcfg::RunParams;
 
 fn main() {
-    let scale = arg("--scale", 0.001);
-    let days = (arg("--days", 2.0) as u64).max(2);
-    let seed = arg("--seed", 2006.0) as u64;
+    let args = Command::new("faults")
+        .flags(&RunParams::FLAGS[..3])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.001);
+    let days = args.u64("--days").unwrap_or(2).max(2);
+    let seed = args.u64("--seed").unwrap_or(2006);
     let fault_day = 1; // the stress schedule packs into day 1
 
     println!("Magellan fault drill — seed {seed}, scale {scale}, {days} day(s), faults on day {fault_day}\n");

@@ -12,17 +12,9 @@
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::{Command, Flag};
 use magellan::netsim::{SimDuration, SimTime};
 use magellan::prelude::*;
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn config(scale: f64, with_crowd: bool) -> StudyConfig {
     StudyConfig {
@@ -36,7 +28,10 @@ fn config(scale: f64, with_crowd: bool) -> StudyConfig {
 }
 
 fn main() {
-    let scale = arg("--scale", 0.002);
+    let args = Command::new("flash_crowd")
+        .flags(&[Flag::float("--scale", "F")])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
     println!("Flash-crowd study — scale {scale}\n");
 
     let crowd = MagellanStudy::new(config(scale, true)).run();

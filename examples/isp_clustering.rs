@@ -13,17 +13,9 @@
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::{Command, Flag};
 use magellan::netsim::SimDuration;
 use magellan::prelude::*;
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn config(scale: f64, random_selection: bool) -> StudyConfig {
     let mut cfg = StudyConfig {
@@ -38,7 +30,10 @@ fn config(scale: f64, random_selection: bool) -> StudyConfig {
 }
 
 fn main() {
-    let scale = arg("--scale", 0.002);
+    let args = Command::new("isp_clustering")
+        .flags(&[Flag::float("--scale", "F")])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
     println!("ISP clustering study — scale {scale}\n");
 
     let quality = MagellanStudy::new(config(scale, false)).run();

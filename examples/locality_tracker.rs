@@ -14,17 +14,9 @@
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::{Command, Flag};
 use magellan::netsim::SimDuration;
 use magellan::prelude::*;
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn config(scale: f64, locality: f64) -> StudyConfig {
     let mut cfg = StudyConfig {
@@ -44,7 +36,10 @@ fn config(scale: f64, locality: f64) -> StudyConfig {
 }
 
 fn main() {
-    let scale = arg("--scale", 0.002);
+    let args = Command::new("locality_tracker")
+        .flags(&[Flag::float("--scale", "F")])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
     println!("Locality-aware tracker study — scale {scale}\n");
 
     let oblivious = MagellanStudy::new(config(scale, 0.0)).run();

@@ -2,7 +2,7 @@
 //! every figure of the paper.
 //!
 //! ```text
-//! cargo run --release --example quickstart -- [--scale 0.002] [--days 3] [--seed 2006]
+//! cargo run --release --example quickstart -- [--seed 2006] [--scale 0.002] [--days 3]
 //! ```
 //!
 //! `--scale 1.0` reproduces the paper's ~100k concurrent peers (slow);
@@ -10,21 +10,17 @@
 //! paper reports.
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::Command;
 use magellan::prelude::*;
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use magellan::runcfg::RunParams;
 
 fn main() {
-    let scale = arg("--scale", 0.002);
-    let days = arg("--days", 3.0) as u64;
-    let seed = arg("--seed", 2006.0) as u64;
+    let args = Command::new("quickstart")
+        .flags(&RunParams::FLAGS[..3])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
+    let days = args.u64("--days").unwrap_or(3);
+    let seed = args.u64("--seed").unwrap_or(2006);
 
     println!("Magellan quickstart — seed {seed}, scale {scale}, {days} day(s)\n");
     let cfg = StudyConfig {

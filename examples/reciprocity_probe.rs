@@ -12,22 +12,17 @@
 //! ```
 
 use magellan::analysis::study::StudyConfig;
+use magellan::cli::{Command, Flag};
 use magellan::graph::random::gnm_directed;
 use magellan::graph::reciprocity::{garlaschelli_reciprocity, simple_reciprocity, tree_baseline};
 use magellan::netsim::SimDuration;
 use magellan::prelude::*;
 
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let scale = arg("--scale", 0.002);
+    let args = Command::new("reciprocity_probe")
+        .flags(&[Flag::float("--scale", "F")])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
     println!("Reciprocity probe — scale {scale}\n");
 
     let cfg = StudyConfig {

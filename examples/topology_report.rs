@@ -8,6 +8,7 @@
 //! ```
 
 use magellan::analysis::graphs::{active_link_graph, NodeScope};
+use magellan::cli::{Command, Flag};
 use magellan::graph::assortativity::{assortativity, AssortKind};
 use magellan::graph::clustering::{clustering_coefficient, transitivity};
 use magellan::graph::degree::{average_degree, degree_histogram, DegreeKind};
@@ -24,15 +25,6 @@ use magellan::overlay::{OverlaySim, SimConfig};
 use magellan::prelude::*;
 use magellan::trace::SnapshotBuilder;
 use std::hash::Hash;
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn characterize<N: Eq + Hash + Clone>(name: &str, g: &DiGraph<N>) {
     let n = g.node_count();
@@ -96,7 +88,10 @@ fn characterize<N: Eq + Hash + Clone>(name: &str, g: &DiGraph<N>) {
 }
 
 fn main() {
-    let scale = arg("--scale", 0.002);
+    let args = Command::new("topology_report")
+        .flags(&[Flag::float("--scale", "F")])
+        .parse_env();
+    let scale = args.f64("--scale").unwrap_or(0.002);
     println!("Topology characterization — scale {scale}\n");
 
     // Simulate one day and snapshot the evening peak.

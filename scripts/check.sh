@@ -3,7 +3,7 @@
 # warnings denied, the magellan-lint pass (line rules, D4 taint, the
 # H2/H3/P2 hot-path cost analysis, and the L1/S1/U1 concurrency
 # pass), the test suite, a loom smoke over the worker pool, and the
-# end-to-end smokes: fault schedule, crash recovery, the
+# end-to-end smokes: CLI strictness, fault schedule, crash recovery, the
 # multi-process loopback-ingest drill against magellan-traced, and
 # the chaos-ingest drill through the tracetool nemesis proxy — and
 # finally the benchmark's own tests, so an API change that breaks the
@@ -69,6 +69,36 @@ stage "loom smoke (pool queue/shutdown protocol)"
 # plus Miri; this is the fail-early version (DESIGN.md §10).
 RUSTFLAGS="--cfg loom" LOOM_MAX_ITER=16 \
     cargo test -q -p magellan-par --test loom
+
+stage "CLI strictness"
+# Every binary and example parses its command line through
+# magellan::cli. A misspelled flag must exit non-zero, name the flag,
+# and start no work: nothing on stdout and no run directory. A silent
+# fallback to the defaults would instead run a whole study, which the
+# timeout cuts short and the checks below then reject.
+cargo build -q --release --workspace --bins --examples
+STRICT=$(mktemp -d)
+strict() {
+    if timeout 60 "$@" --sead 7 > "${STRICT}/out" 2> "${STRICT}/err"; then
+        echo "==> accepted a misspelled flag: $*" >&2; exit 1
+    fi
+    grep -q -- 'unknown flag --sead' "${STRICT}/err" || {
+        echo "==> did not name the misspelled flag: $*" >&2; exit 1; }
+    [ ! -s "${STRICT}/out" ] || {
+        echo "==> started work despite a misspelled flag: $*" >&2; exit 1; }
+}
+for example in quickstart flash_crowd isp_clustering degree_census \
+        reciprocity_probe locality_tracker topology_report faults; do
+    strict "./target/release/examples/${example}"
+done
+strict ./target/release/magellan study --archive "${STRICT}/run"
+strict ./target/release/magellan-traced serve --archive "${STRICT}/run"
+strict ./target/release/tracetool stats "${STRICT}/run"
+strict ./target/release/figures
+strict ./target/release/bench_metrics
+[ ! -e "${STRICT}/run" ] || {
+    echo "==> a misspelled flag created a run directory" >&2; exit 1; }
+rm -rf "${STRICT}"
 
 stage "fault-schedule smoke"
 # A 0.05x-scale study under the combined stress schedule (tracker +

@@ -1,23 +1,7 @@
 //! `magellan-traced` — the networked ingest service and its drill
 //! client.
 //!
-//! ```text
-//! magellan-traced serve --archive DIR [--listen ADDR] [--clients N]
-//!                       [--shards N] [--pending-cap N] [--queue-cap N]
-//!                       [--port-file FILE] [--resume]
-//!                       [--idle-timeout-ms N] [--barrier-timeout-ms N]
-//!                       [--max-conns N] [--max-conns-per-ip N]
-//!                       [--rate-limit N] [--rate-burst N]
-//!                       [--seed N] [--scale F] [--days N]
-//!                       [--sample-every-mins N] [--segment-bytes N]
-//! magellan-traced drive --server ADDR --client-id I --clients N
-//!                       [--transport tcp|udp] [--window N]
-//!                       [--mark-every-mins N] [--backoff-base-ms N]
-//!                       [--backoff-cap-ms N] [--max-attempts N]
-//!                       [--reconnect N]
-//!                       [--seed N] [--scale F] [--days N]
-//!                       [--sample-every-mins N]
-//! ```
+//! Run without arguments for the usage, rendered from `command()`.
 //!
 //! `serve` listens on one port (TCP and UDP simultaneously), ingests
 //! `wire`-encoded [`PeerReport`]s from `--clients` concurrent
@@ -34,31 +18,33 @@
 //! The service assumes a hostile network. Every socket carries a read
 //! timeout and an idle deadline (`--idle-timeout-ms`), so a slowloris
 //! connection — opened, half-fed, never finished — is reaped instead
-//! of pinning a reader thread forever. The acceptor enforces
-//! `--max-conns` / `--max-conns-per-ip`; surplus connections are
-//! closed on arrival and counted. With `--rate-limit` set, each TCP
-//! connection and each UDP source gets a token bucket and over-budget
-//! reports are answered [`StatusCode::RateLimited`] — a retryable
-//! verdict the [`NetUplink`] backs off on. A client that goes silent
-//! past `--barrier-timeout-ms` is evicted from the window barrier, so
-//! a vanished peer degrades the seal to an accounted partial window
-//! instead of wedging the merge pipeline.
+//! of pinning a reader thread forever. The acceptor caps connections
+//! at [`MAX_CONNS`] in total and [`MAX_CONNS_PER_IP`] per source
+//! address; surplus connections are closed on arrival and counted.
+//! With `--rate-limit` set, each TCP connection and each UDP source
+//! gets a token bucket and over-budget reports are answered
+//! [`StatusCode::RateLimited`] — a retryable verdict the [`NetUplink`]
+//! backs off on. A client that goes silent past `--barrier-timeout-ms`
+//! is evicted from the window barrier, so a vanished peer degrades the
+//! seal to an accounted partial window instead of wedging the merge
+//! pipeline.
 //!
 //! The service itself is crash-safe. `SIGTERM`/`SIGINT` request a
 //! drain: the acceptor stops accepting, unfinished clients are
 //! evicted, the in-flight window is sealed, the sidecar is flushed,
-//! and the process exits 0. After `kill -9`, `serve --resume` reopens
-//! the archive at the last checkpoint (the `INGEST.resume` sidecar is
-//! rewritten after every merge+sync), truncates any torn tail, and
-//! restores the merge frontier so re-received reports below it shed
-//! as `Late` while everything at or past it is admitted fresh —
-//! re-receives reconcile in the `surplus` column, never in the
+//! and the process exits 0. After `kill -9`, `serve --resume` keeps
+//! the run directory's `study.cfg` (a study flag must match it),
+//! reopens the archive at the last checkpoint (the `INGEST.resume`
+//! sidecar is rewritten after every merge+sync), truncates any torn
+//! tail, and restores the merge frontier so re-received reports below
+//! it shed as `Late` while everything at or past it is admitted fresh
+//! — re-receives reconcile in the `surplus` column, never in the
 //! archive twice.
 //!
 //! `drive` runs the full deterministic study simulation and streams
 //! the partition `shard_of(addr, clients) == client_id` to the
 //! service through a [`NetUplink`], marking window boundaries every
-//! `--mark-every-mins` of simulated time. `--reconnect N` arms the
+//! [`MARK_EVERY_MINS`] of simulated time. `--reconnect N` arms the
 //! uplink's reconnect budget: a mid-stream connection kill is
 //! answered by redial + re-`Hello` + retransmit of every outstanding
 //! report. N drive processes with the same study parameters cover
@@ -71,9 +57,10 @@
 //! exercise.
 
 use bytes::Bytes;
+use magellan::cli::{Args, Command, Flag};
 use magellan::netsim::{SimDuration, SimTime};
 use magellan::overlay::OverlaySim;
-use magellan::runcfg::{cfg_path, load_params, RunParams};
+use magellan::runcfg::{cfg_path, RunParams};
 use magellan::trace::codec::{self, ClientMsg, FrameReader, ReplyMsg};
 use magellan::trace::service::{
     merge_sorted, read_service_resume, write_ingest_stats, write_service_resume, ServiceResume,
@@ -101,6 +88,17 @@ use std::time::{Duration, Instant};
 /// How often a blocked socket read wakes to check the idle deadline
 /// and the drain flag.
 const READ_TICK_MS: u64 = 200;
+
+/// Connections the acceptor holds open at once.
+const MAX_CONNS: usize = 1024;
+/// Connections one source address may hold open at once.
+const MAX_CONNS_PER_IP: usize = 64;
+/// Reports a TCP drive client keeps in flight.
+const DRIVE_WINDOW: usize = 64;
+/// Simulated minutes between a drive client's window marks.
+const MARK_EVERY_MINS: u64 = 10;
+/// First retry delay of a drive client's backoff, in milliseconds.
+const BACKOFF_BASE_MS: u64 = 2;
 
 /// `SIGINT` on every platform this service targets.
 const SIGINT: i32 = 2;
@@ -186,17 +184,8 @@ struct Counters {
     rate_limited: AtomicU64,
     /// Connections reaped by the idle deadline (slowloris defense).
     reaped: AtomicU64,
-    /// Connections refused by the max-conns / per-IP governor.
+    /// Connections refused by the total / per-IP connection caps.
     refused: AtomicU64,
-}
-
-/// Per-reader defense knobs, plus the service epoch for token-bucket
-/// clocks.
-#[derive(Clone, Copy)]
-struct Defense {
-    idle_timeout_ms: u64,
-    rate_limit: u64,
-    rate_burst: u64,
 }
 
 /// Everything a reader thread needs, cloned per connection.
@@ -205,7 +194,9 @@ struct ReaderCtx {
     shards: Arc<Vec<SyncSender<ShardCmd>>>,
     ctrl: Sender<Ctrl>,
     counters: Arc<Counters>,
-    defense: Defense,
+    idle_timeout_ms: u64,
+    rate_limit: u64,
+    rate_burst: u64,
     /// The serve epoch — token buckets and the registry's idle clock
     /// both run on milliseconds since this instant.
     epoch: Instant,
@@ -283,19 +274,37 @@ impl Drop for ConnPermit {
     }
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  magellan-traced serve --archive DIR [--listen ADDR] [--clients N] [--shards N]\n                        \
-         [--pending-cap N] [--queue-cap N] [--port-file FILE] [--resume]\n                        \
-         [--idle-timeout-ms N] [--barrier-timeout-ms N] [--max-conns N]\n                        \
-         [--max-conns-per-ip N] [--rate-limit N] [--rate-burst N]\n                        \
-         [--seed N] [--scale F] [--days N] [--sample-every-mins N] [--segment-bytes N]\n  \
-         magellan-traced drive --server ADDR --client-id I --clients N [--transport tcp|udp]\n                        \
-         [--window N] [--mark-every-mins N] [--backoff-base-ms N] [--backoff-cap-ms N]\n                        \
-         [--max-attempts N] [--reconnect N] [--seed N] [--scale F] [--days N]\n                        \
-         [--sample-every-mins N]"
-    );
-    ExitCode::FAILURE
+fn command() -> Command {
+    let serve = Command::new("serve")
+        .flags(&[
+            Flag::text("--archive", "DIR").required(),
+            Flag::text("--listen", "ADDR"),
+            Flag::int("--clients", "N"),
+            Flag::int("--shards", "N"),
+            Flag::int("--pending-cap", "N"),
+            Flag::int("--queue-cap", "N"),
+            Flag::text("--port-file", "FILE"),
+            Flag::switch("--resume"),
+            Flag::int("--idle-timeout-ms", "N"),
+            Flag::int("--barrier-timeout-ms", "N"),
+            Flag::int("--rate-limit", "N"),
+            Flag::int("--rate-burst", "N"),
+        ])
+        .flags(&RunParams::FLAGS[..5]);
+    let drive = Command::new("drive")
+        .flags(&[
+            Flag::text("--server", "ADDR").required(),
+            Flag::int("--client-id", "I").required(),
+            Flag::int("--clients", "N").required(),
+            Flag::one_of("--transport", "tcp|udp"),
+            Flag::int("--backoff-cap-ms", "N"),
+            Flag::int("--max-attempts", "N"),
+            Flag::int("--reconnect", "N"),
+        ])
+        .flags(&RunParams::FLAGS[..4]);
+    Command::new("magellan-traced")
+        .subcommand(serve)
+        .subcommand(drive)
 }
 
 /// Writes one reply record, best-effort: a vanished client shows up
@@ -394,7 +403,7 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
     let mut stream = stream;
     let mut frames = FrameReader::new();
     let mut buf = [0u8; 16 * 1024];
-    let mut bucket = TokenBucket::new(ctx.defense.rate_limit, ctx.defense.rate_burst);
+    let mut bucket = TokenBucket::new(ctx.rate_limit, ctx.rate_burst);
     // lint:allow(D2): service shell — socket idle deadlines run on wall clock, not simulation time
     let mut last_data = Instant::now();
     loop {
@@ -405,7 +414,7 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
                 if drain_requested() {
                     return;
                 }
-                if last_data.elapsed().as_millis() as u64 >= ctx.defense.idle_timeout_ms {
+                if last_data.elapsed().as_millis() as u64 >= ctx.idle_timeout_ms {
                     ctx.counters.reaped.fetch_add(1, Ordering::SeqCst);
                     return;
                 }
@@ -424,48 +433,41 @@ fn tcp_conn(stream: TcpStream, ctx: ReaderCtx) {
             let Ok(msg) = codec::decode_client_msg(&mut body) else {
                 return;
             };
-            let forwarded = match msg {
-                ClientMsg::Report { seq, payload } => {
-                    if bucket.try_admit(ctx.now_ms()) {
-                        route_report(
-                            &ctx.shards,
-                            payload,
-                            seq,
-                            ReplyTo::Tcp(Arc::clone(&write_half)),
-                            &ctx.counters.queue_shed,
-                        );
-                    } else {
-                        ctx.counters.rate_limited.fetch_add(1, Ordering::SeqCst);
-                        send_reply(
-                            &ReplyTo::Tcp(Arc::clone(&write_half)),
-                            &ReplyMsg {
-                                seq,
-                                status: StatusCode::RateLimited,
-                            },
-                        );
-                    }
-                    Ok(())
-                }
-                ClientMsg::Hello { client_id, clients } => {
-                    ctrl_send(&ctx, Ctrl::Hello { client_id, clients })
-                }
-                ClientMsg::WindowMark { client_id, up_to } => {
-                    ctrl_send(&ctx, Ctrl::Mark { client_id, up_to })
-                }
-                ClientMsg::Finish { client_id, sent } => {
-                    ctrl_send(&ctx, Ctrl::Finish { client_id, sent })
-                }
-            };
-            if forwarded.is_err() {
+            let admit = || bucket.try_admit(ctx.now_ms());
+            let reply = ReplyTo::Tcp(Arc::clone(&write_half));
+            if dispatch(&ctx, msg, admit, reply).is_err() {
                 return; // coordinator gone — shutdown
             }
         }
     }
 }
 
-/// Forwards one control message to the coordinator.
-fn ctrl_send(ctx: &ReaderCtx, msg: Ctrl) -> Result<(), SendError<Ctrl>> {
-    ctx.ctrl.send(msg)
+/// Handles one decoded client message. A report that passes the rate
+/// check `admit` is routed to its shard, one that fails it is answered
+/// `RateLimited`; control messages go to the coordinator, and an `Err`
+/// means the coordinator is gone (shutdown).
+fn dispatch(
+    ctx: &ReaderCtx,
+    msg: ClientMsg,
+    admit: impl FnOnce() -> bool,
+    reply: ReplyTo,
+) -> Result<(), SendError<Ctrl>> {
+    let ctrl = match msg {
+        ClientMsg::Report { seq, payload } => {
+            if admit() {
+                route_report(&ctx.shards, payload, seq, reply, &ctx.counters.queue_shed);
+            } else {
+                ctx.counters.rate_limited.fetch_add(1, Ordering::SeqCst);
+                let status = StatusCode::RateLimited;
+                send_reply(&reply, &ReplyMsg { seq, status });
+            }
+            return Ok(());
+        }
+        ClientMsg::Hello { client_id, clients } => Ctrl::Hello { client_id, clients },
+        ClientMsg::WindowMark { client_id, up_to } => Ctrl::Mark { client_id, up_to },
+        ClientMsg::Finish { client_id, sent } => Ctrl::Finish { client_id, sent },
+    };
+    ctx.ctrl.send(ctrl)
 }
 
 /// Serves the UDP side: one message per datagram, reports answered
@@ -492,89 +494,16 @@ fn udp_reader(sock: Arc<UdpSocket>, ctx: ReaderCtx) {
         let Ok(msg) = codec::decode_client_msg(&mut body) else {
             continue;
         };
-        let forwarded = match msg {
-            ClientMsg::Report { seq, payload } => {
-                let bucket = buckets.entry(peer).or_insert_with(|| {
-                    TokenBucket::new(ctx.defense.rate_limit, ctx.defense.rate_burst)
-                });
-                if bucket.try_admit(ctx.now_ms()) {
-                    route_report(
-                        &ctx.shards,
-                        payload,
-                        seq,
-                        ReplyTo::Udp(Arc::clone(&sock), peer),
-                        &ctx.counters.queue_shed,
-                    );
-                } else {
-                    ctx.counters.rate_limited.fetch_add(1, Ordering::SeqCst);
-                    send_reply(
-                        &ReplyTo::Udp(Arc::clone(&sock), peer),
-                        &ReplyMsg {
-                            seq,
-                            status: StatusCode::RateLimited,
-                        },
-                    );
-                }
-                Ok(())
-            }
-            ClientMsg::Hello { client_id, clients } => {
-                ctrl_send(&ctx, Ctrl::Hello { client_id, clients })
-            }
-            ClientMsg::WindowMark { client_id, up_to } => {
-                ctrl_send(&ctx, Ctrl::Mark { client_id, up_to })
-            }
-            ClientMsg::Finish { client_id, sent } => {
-                ctrl_send(&ctx, Ctrl::Finish { client_id, sent })
-            }
+        let new_bucket = || TokenBucket::new(ctx.rate_limit, ctx.rate_burst);
+        let admit = || {
+            buckets
+                .entry(peer)
+                .or_insert_with(new_bucket)
+                .try_admit(ctx.now_ms())
         };
-        if forwarded.is_err() {
+        if dispatch(&ctx, msg, admit, ReplyTo::Udp(Arc::clone(&sock), peer)).is_err() {
             return;
         }
-    }
-}
-
-/// Flag-scanning helpers shared by both subcommands.
-struct Args<'a>(&'a [String]);
-
-impl Args<'_> {
-    fn get(&self, name: &str) -> Option<&String> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-
-    fn num(&self, name: &str) -> Result<Option<u64>, String> {
-        self.get(name)
-            .map(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-    }
-
-    /// The CLI-settable study parameters both subcommands share —
-    /// every drive process and the server must agree on these for the
-    /// partition to cover the study exactly once.
-    fn params(&self) -> Result<RunParams, String> {
-        let mut p = RunParams::default();
-        if let Some(v) = self.num("--seed")? {
-            p.seed = v;
-        }
-        if let Some(v) = self.get("--scale") {
-            p.scale = v.parse::<f64>().map_err(|e| format!("--scale: {e}"))?;
-        }
-        if let Some(v) = self.num("--days")? {
-            p.days = v;
-        }
-        if let Some(v) = self.num("--sample-every-mins")? {
-            p.sample_every_mins = v;
-        }
-        if let Some(v) = self.num("--segment-bytes")? {
-            p.segment_bytes = v;
-        }
-        Ok(p)
     }
 }
 
@@ -690,34 +619,22 @@ fn seal_ready(
 }
 
 fn serve(args: &Args) -> Result<(), String> {
-    let dir = PathBuf::from(
-        args.get("--archive")
-            .ok_or_else(|| "--archive DIR is required".to_string())?,
-    );
+    let dir = PathBuf::from(args.get("--archive").unwrap_or_default());
     let resuming = args.has("--resume");
     // On resume the run directory's study.cfg is authoritative — the
     // restarted service must agree with the original parameters.
-    let params = if resuming {
-        load_params(&dir)?
-    } else {
-        args.params()?
-    };
-    let listen = args
-        .get("--listen")
-        .map_or("127.0.0.1:0", String::as_str)
-        .to_string();
-    let clients = u32::try_from(args.num("--clients")?.unwrap_or(1).max(1))
+    let params = RunParams::default().with_args(args, resuming.then_some(dir.as_path()))?;
+    let listen = args.get("--listen").unwrap_or("127.0.0.1:0");
+    let clients = u32::try_from(args.u64("--clients").unwrap_or(1).max(1))
         .map_err(|_| "--clients out of range".to_string())?;
-    let shards = args.num("--shards")?.unwrap_or(4).max(1) as usize;
-    let pending_cap = args.num("--pending-cap")?.unwrap_or(1 << 16).max(1) as usize;
-    let queue_cap = args.num("--queue-cap")?.unwrap_or(1024).max(1) as usize;
-    let idle_timeout_ms = args.num("--idle-timeout-ms")?.unwrap_or(30_000).max(1);
-    let barrier_timeout_ms = args.num("--barrier-timeout-ms")?.unwrap_or(30_000).max(1);
-    let max_conns = args.num("--max-conns")?.unwrap_or(1024).max(1) as usize;
-    let max_per_ip = args.num("--max-conns-per-ip")?.unwrap_or(64).max(1) as usize;
-    let rate_limit = args.num("--rate-limit")?.unwrap_or(0);
+    let shards = args.u64("--shards").unwrap_or(4).max(1) as usize;
+    let pending_cap = args.u64("--pending-cap").unwrap_or(1 << 16).max(1) as usize;
+    let queue_cap = args.u64("--queue-cap").unwrap_or(1024).max(1) as usize;
+    let idle_timeout_ms = args.u64("--idle-timeout-ms").unwrap_or(30_000).max(1);
+    let barrier_timeout_ms = args.u64("--barrier-timeout-ms").unwrap_or(30_000).max(1);
+    let rate_limit = args.u64("--rate-limit").unwrap_or(0);
     let rate_burst = args
-        .num("--rate-burst")?
+        .u64("--rate-burst")
         .unwrap_or_else(|| (rate_limit * 2).max(8));
     let window_end = SimTime::at(params.days, 0, 0);
 
@@ -784,16 +701,14 @@ fn serve(args: &Args) -> Result<(), String> {
         shards: Arc::clone(&shard_txs),
         ctrl: ctrl_tx,
         counters: Arc::clone(&counters),
-        defense: Defense {
-            idle_timeout_ms,
-            rate_limit,
-            rate_burst,
-        },
+        idle_timeout_ms,
+        rate_limit,
+        rate_burst,
         epoch,
     };
 
     // TCP and UDP share one port.
-    let listener = TcpListener::bind(&listen).map_err(|e| format!("bind tcp {listen}: {e}"))?;
+    let listener = TcpListener::bind(listen).map_err(|e| format!("bind tcp {listen}: {e}"))?;
     let local = listener
         .local_addr()
         .map_err(|e| format!("local addr: {e}"))?;
@@ -821,7 +736,7 @@ fn serve(args: &Args) -> Result<(), String> {
 
     {
         let ctx = ctx.clone();
-        let governor = ConnGovernor::new(max_conns, max_per_ip);
+        let governor = ConnGovernor::new(MAX_CONNS, MAX_CONNS_PER_IP);
         // lint:allow(D3): service shell — the acceptor lives until process exit; it owns no simulation state
         thread::spawn(move || {
             for conn in listener.incoming() {
@@ -951,33 +866,18 @@ fn serve(args: &Args) -> Result<(), String> {
 }
 
 fn drive(args: &Args) -> Result<(), String> {
-    let params = args.params()?;
-    let server = args
-        .get("--server")
-        .ok_or_else(|| "--server ADDR is required".to_string())?
-        .clone();
-    let client_id = u32::try_from(
-        args.num("--client-id")?
-            .ok_or_else(|| "--client-id I is required".to_string())?,
-    )
-    .map_err(|_| "--client-id out of range".to_string())?;
-    let clients = u32::try_from(
-        args.num("--clients")?
-            .ok_or_else(|| "--clients N is required".to_string())?
-            .max(1),
-    )
-    .map_err(|_| "--clients out of range".to_string())?;
-    let transport = args
-        .get("--transport")
-        .map_or("tcp", String::as_str)
-        .to_string();
-    let window = args.num("--window")?.unwrap_or(64).max(1) as usize;
-    let mark_every = SimDuration::from_mins(args.num("--mark-every-mins")?.unwrap_or(10).max(1));
-    let base_ms = args.num("--backoff-base-ms")?.unwrap_or(2);
-    let cap_ms = args.num("--backoff-cap-ms")?.unwrap_or(200);
+    let params = RunParams::default().with_args(args, None)?;
+    let server = args.get("--server").unwrap_or_default();
+    let client_id = u32::try_from(args.u64("--client-id").unwrap_or_default())
+        .map_err(|_| "--client-id out of range".to_string())?;
+    let clients = u32::try_from(args.u64("--clients").unwrap_or_default().max(1))
+        .map_err(|_| "--clients out of range".to_string())?;
+    let transport = args.get("--transport").unwrap_or("tcp");
+    let mark_every = SimDuration::from_mins(MARK_EVERY_MINS);
+    let cap_ms = args.u64("--backoff-cap-ms").unwrap_or(200);
     let max_attempts =
-        u32::try_from(args.num("--max-attempts")?.unwrap_or(8).max(1)).unwrap_or(u32::MAX);
-    let reconnect = args.num("--reconnect")?;
+        u32::try_from(args.u64("--max-attempts").unwrap_or(8).max(1)).unwrap_or(u32::MAX);
+    let reconnect = args.u64("--reconnect");
 
     // Deterministic per-client backoff jitter: same drill, same
     // delays.
@@ -985,11 +885,11 @@ fn drive(args: &Args) -> Result<(), String> {
         .seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(u64::from(client_id));
-    let backoff = NetBackoff::new(base_ms, cap_ms, max_attempts, backoff_seed);
-    let mut uplink = match transport.as_str() {
-        "tcp" => NetUplink::connect_tcp(server.as_str(), client_id, clients, window, backoff),
-        "udp" => NetUplink::connect_udp(server.as_str(), client_id, clients, backoff),
-        other => return Err(format!("--transport {other}: expected tcp or udp")),
+    let backoff = NetBackoff::new(BACKOFF_BASE_MS, cap_ms, max_attempts, backoff_seed);
+    let mut uplink = if transport == "udp" {
+        NetUplink::connect_udp(server, client_id, clients, backoff)
+    } else {
+        NetUplink::connect_tcp(server, client_id, clients, DRIVE_WINDOW, backoff)
     }
     .map_err(|e| format!("connect {server}: {e}"))?;
     if let Some(budget) = reconnect {
@@ -1053,12 +953,10 @@ fn drive(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args(&argv);
-    let result = match argv.first().map(String::as_str) {
-        Some("serve") => serve(&args),
-        Some("drive") => drive(&args),
-        _ => return usage(),
+    let args = command().parse_env();
+    let result = match args.command {
+        "serve" => serve(&args),
+        _ => drive(&args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1066,5 +964,30 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn conn_governor_enforces_both_caps_and_frees_on_drop() {
+        let gov = ConnGovernor::new(2, 1);
+        let a: IpAddr = [127, 0, 0, 1].into();
+        let b: IpAddr = [127, 0, 0, 2].into();
+        let c: IpAddr = [127, 0, 0, 3].into();
+        let first = gov.admit(a).expect("first connection from a");
+        assert!(gov.admit(a).is_none(), "per-IP cap of 1 must refuse a");
+        let second = gov.admit(b).expect("first connection from b");
+        assert!(gov.admit(c).is_none(), "total cap of 2 must refuse c");
+        drop(first);
+        let again = gov.admit(a).expect("dropping a's permit frees its slot");
+        drop(second);
+        assert!(
+            gov.admit(c).is_some(),
+            "dropping b's permit frees a total slot"
+        );
+        drop(again);
     }
 }

@@ -1,17 +1,6 @@
 //! Trace workbench: inspect and export archived traces.
 //!
-//! ```text
-//! tracetool stats    <archive-dir>
-//! tracetool sessions <archive-dir>
-//! tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all]
-//!                    [--format summary|edges|dot] [--out file]
-//! tracetool inspect  <archive-dir>
-//! tracetool fsck     <archive-dir>
-//! tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N]
-//!                    [--profile tcp|udp|off] [--port-file FILE]
-//! tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N]
-//!                    [--profile tcp|udp|off]
-//! ```
+//! Run without arguments for the usage, rendered from `command()`.
 //!
 //! Every `<archive-dir>` is a segmented binary archive written by
 //! `magellan study` or `magellan-traced serve` (the run directory
@@ -24,7 +13,8 @@
 //! networkx / Graphviz. `inspect` and `fsck` stream the archive
 //! without holding it: `inspect` summarizes contents and recovery
 //! state, `fsck` exits non-zero when any frame was lost to damage.
-//! Malformed flag values are errors, never silently defaulted.
+//! Every subcommand parses through [`magellan::cli`]: an unknown flag
+//! or a malformed value is an error, never silently defaulted.
 //!
 //! `nemesis` is the deterministic chaos interposer for the hostile
 //! ingest drills: it proxies TCP connections and UDP datagrams to
@@ -38,6 +28,7 @@
 
 use magellan::analysis::graphs::{active_link_graph, node_isps, NodeScope};
 use magellan::analysis::sessions::{stable_sessions, summarize};
+use magellan::cli::{Args, Command, Flag};
 use magellan::graph::export::{to_dot, to_edge_list};
 use magellan::graph::reciprocity::garlaschelli_reciprocity;
 use magellan::graph::smallworld::{assess, SmallWorldConfig};
@@ -47,21 +38,35 @@ use magellan::trace::{atomic_write, RecoveryReport, SnapshotBuilder, TraceStats,
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  tracetool stats    <archive-dir>\n  tracetool sessions <archive-dir>\n  \
-         tracetool snapshot <archive-dir> --at d,h,m [--scope stable|all] [--format summary|edges|dot] [--out file]\n  \
-         tracetool inspect  <archive-dir>\n  tracetool fsck     <archive-dir>\n  \
-         tracetool nemesis  --upstream ADDR [--listen ADDR] [--seed N] [--profile tcp|udp|off] [--port-file FILE]\n  \
-         tracetool nemesis  --print-schedule EVENTS [--flows N] [--seed N] [--profile tcp|udp|off]"
-    );
-    ExitCode::FAILURE
+fn command() -> Command {
+    let on_dir = |name| Command::new(name).operand("<archive-dir>");
+    Command::new("tracetool")
+        .subcommand(on_dir("stats"))
+        .subcommand(on_dir("sessions"))
+        .subcommand(on_dir("snapshot").flags(&[
+            Flag::text("--at", "d,h,m").required(),
+            Flag::one_of("--scope", "stable|all"),
+            Flag::one_of("--format", "summary|edges|dot"),
+            Flag::text("--out", "FILE"),
+        ]))
+        .subcommand(on_dir("inspect"))
+        .subcommand(on_dir("fsck"))
+        .subcommand(Command::new("nemesis").flags(&[
+            Flag::text("--upstream", "ADDR"),
+            Flag::text("--listen", "ADDR"),
+            Flag::int("--seed", "N"),
+            Flag::one_of("--profile", "tcp|udp|off"),
+            Flag::text("--port-file", "FILE"),
+            Flag::int("--print-schedule", "EVENTS"),
+            Flag::int("--flows", "N"),
+        ]))
 }
 
 /// `nemesis` — the deterministic chaos proxy. Everything hostile it
 /// does is decided by [`FlowSchedule`] (pure seeded arithmetic); this
 /// code only executes the scheduled socket mischief.
 mod nemesis {
+    use magellan::cli::Args;
     use magellan::netsim::chaos::{
         render_schedule, ChaosAction, ChaosProfile, FlowKind, FlowSchedule,
     };
@@ -78,12 +83,11 @@ mod nemesis {
     /// connection and every UDP source gets an independent schedule.
     static NEXT_FLOW: AtomicU64 = AtomicU64::new(0);
 
-    fn profile_of(name: &str) -> Result<(FlowKind, ChaosProfile), String> {
+    fn profile_of(name: &str) -> (FlowKind, ChaosProfile) {
         match name {
-            "tcp" => Ok((FlowKind::Stream, ChaosProfile::tcp_drill())),
-            "udp" => Ok((FlowKind::Datagram, ChaosProfile::udp_drill())),
-            "off" => Ok((FlowKind::Stream, ChaosProfile::off())),
-            other => Err(format!("--profile {other}: expected tcp, udp, or off")),
+            "udp" => (FlowKind::Datagram, ChaosProfile::udp_drill()),
+            "off" => (FlowKind::Stream, ChaosProfile::off()),
+            _ => (FlowKind::Stream, ChaosProfile::tcp_drill()),
         }
     }
 
@@ -334,79 +338,34 @@ mod nemesis {
     }
 
     /// Entry point for `tracetool nemesis`.
-    pub fn run(args: &[String]) -> std::process::ExitCode {
-        use std::process::ExitCode as ExitCode2;
-        let get = |name: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-        };
-        let num = |name: &str, default: u64| -> Result<u64, String> {
-            get(name).map_or(Ok(default), |v| {
-                v.parse::<u64>().map_err(|e| format!("{name} {v}: {e}"))
-            })
-        };
-        let seed = match num("--seed", 9) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode2::FAILURE;
-            }
-        };
-        let (kind, profile) = match profile_of(get("--profile").as_deref().unwrap_or("tcp")) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode2::FAILURE;
-            }
-        };
+    pub fn run(args: &Args) -> Result<(), String> {
+        let seed = args.u64("--seed").unwrap_or(9);
+        let (kind, profile) = profile_of(args.get("--profile").unwrap_or("tcp"));
 
-        if let Some(events) = get("--print-schedule") {
-            let Ok(events) = events.parse::<u32>() else {
-                eprintln!("error: --print-schedule wants an event count");
-                return ExitCode2::FAILURE;
-            };
-            let flows = match num("--flows", 4) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode2::FAILURE;
-                }
-            };
+        if let Some(events) = args.u64("--print-schedule") {
+            let events = u32::try_from(events)
+                .map_err(|_| format!("--print-schedule {events}: out of range"))?;
+            let flows = args.u64("--flows").unwrap_or(4);
             print!("{}", render_schedule(seed, kind, profile, flows, events));
-            return ExitCode2::SUCCESS;
+            return Ok(());
         }
 
-        let Some(upstream) = get("--upstream") else {
-            eprintln!("error: --upstream ADDR is required");
-            return ExitCode2::FAILURE;
-        };
-        let listen = get("--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-        let listener = match TcpListener::bind(listen.as_str()) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: bind tcp {listen}: {e}");
-                return ExitCode2::FAILURE;
-            }
-        };
-        let Ok(local) = listener.local_addr() else {
-            eprintln!("error: local addr");
-            return ExitCode2::FAILURE;
-        };
-        let udp = match UdpSocket::bind(local) {
-            Ok(s) => std::sync::Arc::new(s),
-            Err(e) => {
-                eprintln!("error: bind udp {local}: {e}");
-                return ExitCode2::FAILURE;
-            }
-        };
+        let upstream = args
+            .get("--upstream")
+            .ok_or("--upstream ADDR is required (or --print-schedule EVENTS)")?
+            .to_string();
+        let listen = args.get("--listen").unwrap_or("127.0.0.1:0");
+        let listener = TcpListener::bind(listen).map_err(|e| format!("bind tcp {listen}: {e}"))?;
+        let local = listener
+            .local_addr()
+            .map_err(|e| format!("local addr: {e}"))?;
+        let udp = std::sync::Arc::new(
+            UdpSocket::bind(local).map_err(|e| format!("bind udp {local}: {e}"))?,
+        );
         println!("tracetool nemesis: interposing {local} -> {upstream} (seed {seed}, {kind:?})");
-        if let Some(path) = get("--port-file") {
-            if let Err(e) = atomic_write(Path::new(&path), local.to_string().as_bytes()) {
-                eprintln!("error: write {path}: {e}");
-                return ExitCode2::FAILURE;
-            }
+        if let Some(path) = args.get("--port-file") {
+            atomic_write(Path::new(path), local.to_string().as_bytes())
+                .map_err(|e| format!("write {path}: {e}"))?;
         }
         {
             let upstream = upstream.clone();
@@ -414,7 +373,7 @@ mod nemesis {
             thread::spawn(move || serve_udp(udp, upstream, seed, profile));
         }
         serve_tcp(listener, upstream, seed, kind, profile);
-        ExitCode2::SUCCESS
+        Ok(())
     }
 }
 
@@ -559,24 +518,18 @@ fn parse_at(at: &str) -> Result<SimTime, String> {
     }
 }
 
-fn snapshot(dir: &Path, get: impl Fn(&str) -> Option<String>) -> Result<(), String> {
-    let t = parse_at(&get("--at").ok_or("snapshot needs --at d,h,m")?)?;
-    let scope = match get("--scope").as_deref() {
-        None | Some("stable") => NodeScope::StableOnly,
+fn snapshot(dir: &Path, args: &Args) -> Result<(), String> {
+    let t = parse_at(args.get("--at").unwrap_or_default())?;
+    let scope = match args.get("--scope") {
         Some("all") => NodeScope::AllKnown,
-        Some(other) => return Err(format!("--scope {other}: expected stable or all")),
+        _ => NodeScope::StableOnly,
     };
-    let format = get("--format").unwrap_or_else(|| "summary".to_owned());
-    if !matches!(format.as_str(), "summary" | "edges" | "dot") {
-        return Err(format!(
-            "--format {format}: expected summary, edges, or dot"
-        ));
-    }
+    let format = args.get("--format").unwrap_or("summary");
     let (store, _) = load(dir)?;
     let snap = SnapshotBuilder::new(&store).at(t);
     let reports: Vec<_> = snap.reports().cloned().collect();
     let g = active_link_graph(&reports, scope);
-    let output = match format.as_str() {
+    let output = match format {
         "edges" => to_edge_list(&g),
         "dot" => {
             let isps = node_isps(&g, &IspDatabase::default());
@@ -603,9 +556,9 @@ fn snapshot(dir: &Path, get: impl Fn(&str) -> Option<String>) -> Result<(), Stri
             )
         }
     };
-    match get("--out") {
+    match args.get("--out") {
         Some(out) => {
-            atomic_write(Path::new(&out), output.as_bytes())
+            atomic_write(Path::new(out), output.as_bytes())
                 .map_err(|e| format!("write {out}: {e}"))?;
             eprintln!("wrote {out}");
         }
@@ -615,31 +568,15 @@ fn snapshot(dir: &Path, get: impl Fn(&str) -> Option<String>) -> Result<(), Stri
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(cmd) = args.get(1) else {
-        return usage();
-    };
-    // The chaos proxy takes no positional path.
-    if cmd == "nemesis" {
-        return nemesis::run(&args);
-    }
-    let Some(path) = args.get(2) else {
-        return usage();
-    };
-    let get = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let dir = archive_dir(path);
-    let result = match cmd.as_str() {
+    let args = command().parse_env();
+    let path = args.operand(0);
+    let result = match args.command {
         "inspect" => return scan_archive(path, false),
         "fsck" => return scan_archive(path, true),
-        "stats" => stats(&dir),
-        "sessions" => sessions(&dir),
-        "snapshot" => snapshot(&dir, get),
-        _ => return usage(),
+        "stats" => stats(&archive_dir(path)),
+        "sessions" => sessions(&archive_dir(path)),
+        "snapshot" => snapshot(&archive_dir(path), &args),
+        _ => nemesis::run(&args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

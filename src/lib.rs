@@ -7,8 +7,8 @@
 //! paper describes, and the graph-theoretic analysis that produces
 //! every figure of its evaluation.
 //!
-//! This crate is the facade: it re-exports the sub-crates and offers
-//! a [`prelude`] for the common entry points.
+//! This crate is the facade: it re-exports the sub-crates, offers a
+//! [`prelude`], and holds the binaries' shared [`cli`] and [`runcfg`].
 //!
 //! ## Quickstart
 //!
@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod runcfg;
 
 pub use magellan_analysis as analysis;

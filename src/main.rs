@@ -1,12 +1,6 @@
 //! Crash-safe study runner.
 //!
-//! ```text
-//! magellan study  --archive DIR [--seed N] [--scale F] [--days N]
-//!                 [--sample-every-mins N] [--checkpoint-every-ticks N]
-//!                 [--segment-bytes N] [--resume] [--kill-at-tick N]
-//!                 [--report FILE] [--threads N]
-//! magellan replay --archive DIR [--report FILE]
-//! ```
+//! Run without arguments for the usage, rendered from `command()`.
 //!
 //! `study` runs the full Magellan pipeline with every admitted report
 //! archived durably and the simulator checkpointed; `--resume` picks
@@ -17,26 +11,46 @@
 //! archive offline, tolerating damage and reporting what recovery had
 //! to skip. The run directory carries a `study.cfg` describing the
 //! study parameters so `--resume` and `replay` reconstruct the exact
-//! configuration.
+//! configuration; a study flag given beside `--resume` must match it.
 
 use magellan::analysis::durable::DurableStudy;
+use magellan::analysis::figures::StudyReport;
+use magellan::cli::{Args, Command, Flag};
 use magellan::runcfg::{cfg_path, load_params, RunParams};
 use magellan::trace::atomic_write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  magellan study  --archive DIR [--seed N] [--scale F] [--days N]\n                  \
-         [--sample-every-mins N] [--checkpoint-every-ticks N] [--segment-bytes N]\n                  \
-         [--resume] [--kill-at-tick N] [--report FILE] [--threads N]\n  \
-         magellan replay --archive DIR [--report FILE]"
-    );
-    ExitCode::FAILURE
+fn command() -> Command {
+    let shared = [
+        Flag::text("--archive", "DIR").required(),
+        Flag::text("--report", "FILE"),
+        Flag::int("--threads", "N"),
+    ];
+    let study = Command::new("study")
+        .flags(&shared)
+        .flags(&RunParams::FLAGS)
+        .flags(&[Flag::switch("--resume"), Flag::int("--kill-at-tick", "N")]);
+    Command::new("magellan")
+        .subcommand(study)
+        .subcommand(Command::new("replay").flags(&shared))
 }
 
-fn emit_report(text: &str, out: Option<&str>) -> Result<(), String> {
-    match out {
+fn run(args: &Args) -> Result<(), String> {
+    if let Some(n) = args.u64("--threads") {
+        magellan::par::set_threads(n as usize);
+    }
+    let dir = Path::new(args.get("--archive").unwrap_or_default());
+    let report = if args.command == "replay" {
+        let params = load_params(dir)?;
+        DurableStudy::new(dir, params.study_config(), params.durable_config())
+            .analyze_archive()
+            .map_err(|e| format!("replay: {e}"))?
+    } else {
+        study(args, dir)?
+    };
+    let text = report.render_text();
+    match args.get("--report") {
         Some(path) => {
             atomic_write(Path::new(path), text.as_bytes()).map_err(|e| format!("write {path}: {e}"))
         }
@@ -47,102 +61,41 @@ fn emit_report(text: &str, out: Option<&str>) -> Result<(), String> {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let get = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
-        get(name)
-            .map(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-    };
-
-    if let Some(n) = parse_u64("--threads")? {
-        magellan::par::set_threads(n as usize);
+/// A fresh durable study, or the resume of an interrupted one.
+fn study(args: &Args, dir: &Path) -> Result<StudyReport, String> {
+    let resume = args.has("--resume");
+    // On resume the run directory's study.cfg is authoritative; study
+    // flags may repeat it but never change it.
+    let params = RunParams::default().with_args(args, resume.then_some(dir))?;
+    let kill_at = args.u64("--kill-at-tick");
+    if !resume {
+        std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+        // Persist the parameters before simulating so a run killed
+        // at any tick can still be resumed.
+        atomic_write(&cfg_path(dir), params.render().as_bytes())
+            .map_err(|e| format!("write study.cfg: {e}"))?;
     }
-    let dir = PathBuf::from(
-        get("--archive")
-            .ok_or_else(|| "--archive DIR is required".to_string())?
-            .clone(),
-    );
-    let report_out = get("--report").map(String::as_str);
-
-    match args.first().map(String::as_str) {
-        Some("study") => {
-            let resume = has("--resume");
-            let mut params = if resume {
-                load_params(&dir)?
-            } else {
-                RunParams::default()
-            };
-            if let Some(v) = parse_u64("--seed")? {
-                params.seed = v;
-            }
-            if let Some(v) = get("--scale") {
-                params.scale = v.parse::<f64>().map_err(|e| format!("--scale: {e}"))?;
-            }
-            if let Some(v) = parse_u64("--days")? {
-                params.days = v;
-            }
-            if let Some(v) = parse_u64("--sample-every-mins")? {
-                params.sample_every_mins = v;
-            }
-            if let Some(v) = parse_u64("--checkpoint-every-ticks")? {
-                params.checkpoint_every_ticks = v;
-            }
-            if let Some(v) = parse_u64("--segment-bytes")? {
-                params.segment_bytes = v;
-            }
-            let kill_at = parse_u64("--kill-at-tick")?;
-
-            std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-            // Persist the parameters before simulating so a run killed
-            // at any tick can still be resumed.
-            atomic_write(&cfg_path(&dir), params.render().as_bytes())
-                .map_err(|e| format!("write study.cfg: {e}"))?;
-
-            let study = DurableStudy::new(&dir, params.study_config(), params.durable_config());
-            let observer = |tick: u64| {
-                if Some(tick) == kill_at {
-                    eprintln!("magellan: simulating crash at tick {tick}");
-                    std::process::abort();
-                }
-            };
-            let report = if resume {
-                study.resume_observed(observer)
-            } else {
-                study.run_observed(observer)
-            }
-            .map_err(|e| format!("study: {e}"))?;
-            emit_report(&report.render_text(), report_out)
+    let study = DurableStudy::new(dir, params.study_config(), params.durable_config());
+    let observer = |tick: u64| {
+        if Some(tick) == kill_at {
+            eprintln!("magellan: simulating crash at tick {tick}");
+            std::process::abort();
         }
-        Some("replay") => {
-            let params = load_params(&dir)?;
-            let study = DurableStudy::new(&dir, params.study_config(), params.durable_config());
-            let report = study
-                .analyze_archive()
-                .map_err(|e| format!("replay: {e}"))?;
-            emit_report(&report.render_text(), report_out)
-        }
-        _ => Err("unknown command".to_string()),
+    };
+    if resume {
+        study.resume_observed(observer)
+    } else {
+        study.run_observed(observer)
     }
+    .map_err(|e| format!("study: {e}"))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
+    let args = command().parse_env();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            if e == "unknown command" {
-                return usage();
-            }
             ExitCode::FAILURE
         }
     }

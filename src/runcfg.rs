@@ -2,10 +2,12 @@
 //!
 //! A run directory carries a `study.cfg` describing the CLI-settable
 //! study parameters; `magellan study --resume`, `magellan replay`,
-//! and the networked `magellan-traced` service all reconstruct the
-//! exact configuration (and fingerprint) from it. Everything not
-//! listed here stays at [`StudyConfig::default`].
+//! the networked `magellan-traced` service and `figures --archive`
+//! all reconstruct the exact configuration (and fingerprint) from it.
+//! The study flags are parsed once, by [`RunParams::with_args`].
+//! Everything not listed here stays at [`StudyConfig::default`].
 
+use crate::cli::{Args, Flag};
 use magellan_analysis::durable::DurableConfig;
 use magellan_analysis::study::StudyConfig;
 use magellan_netsim::SimDuration;
@@ -43,6 +45,68 @@ impl Default for RunParams {
 }
 
 impl RunParams {
+    /// The study flags, one per field. Each binary accepts a prefix:
+    /// `drive` and `figures` the first four, `serve` the first five,
+    /// `study` all six.
+    pub const FLAGS: [Flag; 6] = [
+        Flag::int("--seed", "N"),
+        Flag::float("--scale", "F"),
+        Flag::int("--days", "N"),
+        Flag::int("--sample-every-mins", "N"),
+        Flag::int("--segment-bytes", "N"),
+        Flag::int("--checkpoint-every-ticks", "N"),
+    ];
+
+    /// The parameters a parsed command line selects. Without a run
+    /// directory, each study flag given overrides its field of `self`.
+    /// With one, its `study.cfg` replaces `self` and a study flag given
+    /// must equal it, so a resume or replay cannot silently change the
+    /// parameters of the run it continues.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable `study.cfg`, or a study flag that differs from
+    /// it, naming the flag and both values.
+    pub fn with_args(self, args: &Args, run_dir: Option<&Path>) -> Result<Self, String> {
+        let mut p = match run_dir {
+            Some(dir) => load_params(dir)?,
+            None => self,
+        };
+        // The scale is compared and stored as raw bits, as study.cfg keeps it.
+        let mut scale = p.scale.to_bits();
+        let fields = [
+            &mut p.seed,
+            &mut scale,
+            &mut p.days,
+            &mut p.sample_every_mins,
+            &mut p.segment_bytes,
+            &mut p.checkpoint_every_ticks,
+        ];
+        for (flag, field) in Self::FLAGS.iter().zip(fields) {
+            let name = flag.name;
+            let (given, recorded) = match name {
+                "--scale" => (
+                    args.f64(name).map(f64::to_bits),
+                    f64::from_bits(*field).to_string(),
+                ),
+                _ => (args.u64(name), field.to_string()),
+            };
+            match (given, run_dir) {
+                (Some(v), Some(dir)) if v != *field => {
+                    return Err(format!(
+                        "{name} {} differs from {recorded} in {}",
+                        args.get(name).unwrap_or_default(),
+                        cfg_path(dir).display()
+                    ))
+                }
+                (Some(v), _) => *field = v,
+                (None, _) => {}
+            }
+        }
+        p.scale = f64::from_bits(scale);
+        Ok(p)
+    }
+
     /// Renders the stable `study.cfg` key-value format. The scale is
     /// persisted as raw bits so the round-trip is exact.
     pub fn render(&self) -> String {
@@ -156,6 +220,61 @@ mod tests {
         let back = RunParams::parse(&p.render()).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.scale.to_bits(), p.scale.to_bits());
+    }
+
+    fn args(line: &str) -> Args {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        crate::cli::Command::new("t")
+            .flags(&RunParams::FLAGS)
+            .parse(&argv)
+            .unwrap()
+    }
+
+    #[test]
+    fn study_flags_override_the_base_without_a_run_directory() {
+        let line = "--seed 7 --scale 0.0005 --days 3 --sample-every-mins 30 \
+                    --segment-bytes 4096 --checkpoint-every-ticks 8";
+        let p = RunParams::default().with_args(&args(line), None).unwrap();
+        let want = RunParams {
+            seed: 7,
+            scale: 0.0005,
+            days: 3,
+            sample_every_mins: 30,
+            segment_bytes: 4096,
+            checkpoint_every_ticks: 8,
+        };
+        assert_eq!(p, want);
+        let none = RunParams::default().with_args(&args(""), None).unwrap();
+        assert_eq!(none, RunParams::default());
+    }
+
+    #[test]
+    fn study_flags_beside_a_run_directory_must_match_it() {
+        let dir = std::env::temp_dir().join(format!("magellan-runcfg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let recorded = RunParams {
+            seed: 9,
+            scale: 0.0005,
+            ..RunParams::default()
+        };
+        std::fs::write(cfg_path(&dir), recorded.render()).unwrap();
+        let base = RunParams::default();
+        let same = args("--seed 9 --scale 0.0005 --days 2");
+        assert_eq!(base.clone().with_args(&same, Some(&dir)).unwrap(), recorded);
+        assert_eq!(
+            base.clone().with_args(&args(""), Some(&dir)).unwrap(),
+            recorded
+        );
+        let e = base
+            .clone()
+            .with_args(&args("--seed 7"), Some(&dir))
+            .unwrap_err();
+        assert!(e.contains("--seed 7 differs from 9"), "{e}");
+        let e = base
+            .with_args(&args("--scale 0.001"), Some(&dir))
+            .unwrap_err();
+        assert!(e.contains("--scale 0.001 differs from 0.0005"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

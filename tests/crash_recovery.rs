@@ -7,7 +7,9 @@
 //! kernels are schedule-independent. A flipped byte in a sealed
 //! segment must cost only the damaged frame, with the damage
 //! quantified in the replayed report. The archive-reading `tracetool`
-//! commands run against the same kind of archive.
+//! commands run against the same kind of archive. A resume that names
+//! other study parameters than the interrupted run is refused without
+//! touching it, and a malformed command line never starts a study.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -18,6 +20,10 @@ fn magellan_bin() -> &'static str {
 
 fn tracetool_bin() -> &'static str {
     env!("CARGO_BIN_EXE_tracetool")
+}
+
+fn traced_bin() -> &'static str {
+    env!("CARGO_BIN_EXE_magellan-traced")
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -77,6 +83,21 @@ fn archive_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// `study.cfg` plus every checkpoint file, name-sorted, with bytes.
+fn resume_state(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files = vec![(
+        "study.cfg".to_string(),
+        std::fs::read(dir.join("study.cfg")).expect("read study.cfg"),
+    )];
+    for e in std::fs::read_dir(dir.join("checkpoints")).expect("read checkpoints dir") {
+        let e = e.expect("dir entry");
+        let bytes = std::fs::read(e.path()).expect("read checkpoint");
+        files.push((e.file_name().to_string_lossy().into_owned(), bytes));
+    }
+    files.sort();
+    files
+}
+
 fn kill_and_resume_at(threads: u64) {
     let clean = temp_dir(&format!("clean-{threads}"));
     let crashed = temp_dir(&format!("crashed-{threads}"));
@@ -96,6 +117,30 @@ fn kill_and_resume_at(threads: u64) {
     args.extend(["--kill-at-tick".into(), "150".into()]);
     let out = run(&args);
     assert!(!out.status.success(), "the crash drill was supposed to die");
+
+    // A resume naming another seed is refused and leaves the
+    // interrupted run exactly as the crash left it.
+    let before = resume_state(&crashed);
+    assert!(before.len() > 1, "the crash left no checkpoint");
+    let out = run(&[
+        "study".into(),
+        "--archive".into(),
+        crashed.to_string_lossy().into_owned(),
+        "--resume".into(),
+        "--seed".into(),
+        "10".into(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "a seed change on resume was accepted"
+    );
+    assert!(stderr.contains("--seed 10 differs from 9"), "{stderr}");
+    assert_eq!(
+        resume_state(&crashed),
+        before,
+        "a refused resume touched the run"
+    );
 
     // Resume and finish.
     let resume_args: Vec<String> = [
@@ -246,5 +291,107 @@ fn tracetool_reads_the_study_archive() {
     assert!(!bad.status.success(), "malformed --at accepted: {bad:?}");
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--at"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_command_lines_exit_non_zero_naming_the_flag() {
+    let dir = temp_dir("malformed");
+    let run_dir = dir.join("run");
+    let run_path = run_dir.to_string_lossy().into_owned();
+    let path = run_path.as_str();
+    let cases: [(&str, &[&str], &str); 10] = [
+        (
+            magellan_bin(),
+            &["study", "--archive", path, "--sead", "7"],
+            "--sead",
+        ),
+        (
+            magellan_bin(),
+            &["study", "--archive", path, "--seed"],
+            "--seed",
+        ),
+        (
+            magellan_bin(),
+            &["study", "--archive", path, "--days", "1x"],
+            "--days",
+        ),
+        (
+            magellan_bin(),
+            &["study", "--archive", "--resume"],
+            "--archive",
+        ),
+        (
+            traced_bin(),
+            &["serve", "--archive", path, "--max-conns", "9"],
+            "--max-conns",
+        ),
+        (
+            traced_bin(),
+            &["serve", "--archive", path, "--clients"],
+            "--clients",
+        ),
+        (
+            traced_bin(),
+            &[
+                "drive",
+                "--server",
+                "x",
+                "--client-id",
+                "0",
+                "--clients",
+                "2",
+                "--window",
+                "1",
+            ],
+            "--window",
+        ),
+        (
+            traced_bin(),
+            &[
+                "drive",
+                "--server",
+                "x",
+                "--client-id",
+                "0,",
+                "--clients",
+                "2",
+            ],
+            "--client-id",
+        ),
+        (
+            tracetool_bin(),
+            &["stats", path, "--format", "dot"],
+            "--format",
+        ),
+        (tracetool_bin(), &["snapshot", path, "--at"], "--at"),
+    ];
+    for (bin, args, flag) in cases {
+        let out = Command::new(bin).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} was accepted: {stderr}"
+        );
+        assert!(
+            stderr.contains(flag),
+            "{args:?} did not name {flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+    }
+    let out = Command::new(tracetool_bin())
+        .args(["nemesis", "--print-schedule", "8", "--flows", "-1"])
+        .output()
+        .expect("spawn tracetool");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a negative --flows was accepted"
+    );
+    assert!(
+        !run_dir.exists(),
+        "a malformed command line created the run directory"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
