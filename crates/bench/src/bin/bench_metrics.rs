@@ -4,8 +4,9 @@
 //! scales, at 1 worker and 8 workers (via `magellan_par::set_threads`),
 //! against the legacy `DiGraph`-walking implementations they replaced,
 //! the `magellan-traced` ingest admission path (reports/sec through
-//! one sans-I/O shard), plus the end-to-end latency of one study
-//! sample instant. Emits one
+//! one sans-I/O shard), the overlay simulator's wall time over one
+//! and two simulated days (a linear-in-time check), plus the
+//! end-to-end latency of one study sample instant. Emits one
 //! JSON document on stdout; `scripts/bench.sh` redirects it to
 //! `BENCH_metrics.json`. It takes no arguments.
 //!
@@ -15,7 +16,7 @@
 //! possible on the measuring box (on a 1-core host threads=8 cannot
 //! beat threads=1).
 
-use magellan_analysis::study::MagellanStudy;
+use magellan_analysis::study::{MagellanStudy, StudyConfig};
 use magellan_bench::{bench_trace, quick_study, BENCH_DAYS};
 use magellan_graph::clustering::clustering_coefficient_csr;
 use magellan_graph::kcore::core_decomposition_csr;
@@ -24,7 +25,9 @@ use magellan_graph::random::watts_strogatz;
 use magellan_graph::reciprocity::garlaschelli_reciprocity_csr;
 use magellan_graph::{Csr, CsrDelta, DiGraph, IncrementalTopology, NodeId};
 use magellan_netsim::SimTime;
+use magellan_overlay::{OverlaySim, SimConfig};
 use magellan_trace::Shard;
+use magellan_workload::{ChannelId, FlashCrowd};
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
@@ -44,6 +47,40 @@ fn time_ns<F: FnMut()>(mut f: F) -> f64 {
         }
         iters = iters.saturating_mul(4);
     }
+}
+
+/// Scale of the `overlay_sim` row: about 1.3k concurrent peers at the
+/// flash-crowd peak, a few seconds per simulated day.
+const SIM_SCALE: f64 = 0.005;
+
+/// Fastest wall seconds of three runs of the bare simulator (no sink
+/// work) over the benchmark's `study` scenario — seed 2006 with the
+/// Mid-Autumn flash crowd moved to day 0, 21:00 — for `days` days.
+fn sim_seconds(days: u64) -> f64 {
+    let crowd = FlashCrowd {
+        peak: SimTime::at(0, 21, 0),
+        ..FlashCrowd::mid_autumn(vec![ChannelId::CCTV1, ChannelId::CCTV4])
+    };
+    let cfg = StudyConfig {
+        seed: 2006,
+        scale: SIM_SCALE,
+        window_days: days,
+        flash_crowds: Some(vec![crowd]),
+        ..StudyConfig::default()
+    };
+    (0..3)
+        .map(|_| {
+            let mut sim = OverlaySim::new(cfg.scenario(), SimConfig::default());
+            let start = Instant::now();
+            black_box(
+                sim.run(|r| {
+                    black_box(r);
+                })
+                .expect("benchmark scenario is consistent"),
+            );
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// The legacy graph-level clustering loop: one `undirected_neighbors`
@@ -289,6 +326,15 @@ fn main() {
         1e9 / ns_per_report.max(1.0),
     );
 
+    // Overlay simulator over one and two simulated days. Churn never
+    // reuses slab slots, so dead slots pile up over the window; a sim
+    // whose per-tick work tracks live peers keeps the 2-day/1-day
+    // ratio near the ratio of the joins (~1.8 here), while one that
+    // walks every slot ever allocated drifts above it.
+    eprintln!("overlay sim, 1 and 2 days ...");
+    let sim_1d = sim_seconds(1);
+    let sim_2d = sim_seconds(2);
+
     // Lint-gate wall time — the fixed cost every scripts/check.sh run
     // pays. One cold run (incremental cache deleted) and one warm run
     // (cache reused); the gap is what the cache buys. Rows are empty
@@ -373,6 +419,10 @@ fn main() {
     out.push_str(&format!(
         "  \"service_ingest\": {{\"reports\": {}, \"ns_per_report\": {:.1}, \"reports_per_sec\": {:.0}}},\n",
         ingest.0, ingest.1, ingest.2
+    ));
+    out.push_str(&format!(
+        "  \"overlay_sim\": {{\"scale\": {SIM_SCALE}, \"sim_s_1d\": {sim_1d:.3}, \"sim_s_2d\": {sim_2d:.3}, \"ratio_2d_1d\": {:.3}}},\n",
+        sim_2d / sim_1d
     ));
     out.push_str("  \"lint_gate\": [\n");
     out.push_str(

@@ -16,12 +16,11 @@
 //! defensively, returning `None` rather than panicking on any
 //! structural surprise (e.g. a body written by a different build).
 
-use crate::peer::{PartnerLink, PeerId, PeerState};
+use crate::peer::{PartnerLink, PartnerTable, PeerId, PeerState};
 use crate::sim::{FaultCounters, SimSummary};
 use crate::tracker::{ChannelSnapshot, TrackerSnapshot};
 use magellan_netsim::{AccessClass, Isp, LinkQuality, PeerAddr, PeerCapacity, SimTime};
 use magellan_workload::ChannelId;
-use std::collections::BTreeMap;
 
 /// Version of the checkpoint *body* layout (the envelope carries its
 /// own version; this one tracks the field layout below).
@@ -159,7 +158,7 @@ fn encode_peer(out: &mut Vec<u8>, p: &PeerState) {
     put_u64(out, p.leaves.as_millis());
     put_u8(out, p.is_server as u8);
     put_u32(out, p.partners.len() as u32);
-    for (id, l) in &p.partners {
+    for (id, l) in p.partners.iter() {
         put_u32(out, id.0);
         put_f64(out, l.quality.rtt_ms);
         put_f64(out, l.quality.bandwidth_kbps);
@@ -201,7 +200,7 @@ fn decode_peer(d: &mut Dec<'_>) -> Option<PeerState> {
     let leaves = SimTime::from_millis(d.u64()?);
     let is_server = d.u8()? != 0;
     let n_partners = d.len(45)?;
-    let mut partners = BTreeMap::new();
+    let mut partners = PartnerTable::default();
     for _ in 0..n_partners {
         let id = PeerId(d.u32()?);
         let link = PartnerLink {

@@ -6,7 +6,8 @@ use magellan_netsim::{Isp, LinkQuality, PeerAddr, PeerCapacity, SimTime};
 use magellan_trace::{BufferMap, PartnerRecord, PeerReport};
 use magellan_workload::ChannelId;
 use rand::RngExt as _;
-use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Index;
 
 /// Dense identifier of a peer within one [`crate::OverlaySim`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,6 +55,121 @@ impl PartnerLink {
     }
 }
 
+/// A peer's partner table: one flat array of links, kept sorted by
+/// ascending partner id.
+///
+/// Ascending iteration is the contract the rest of the crate relies
+/// on: the transfer engine merge-walks tables against its flow arena,
+/// reports and checkpoints list partners in id order, and gossip picks
+/// its recommender by position. Lookup is a binary search; insert and
+/// remove shift the tail, which is cheap at the partner cap and keeps
+/// a whole table in one allocation.
+#[derive(Clone, Default)]
+pub struct PartnerTable {
+    entries: Vec<(PeerId, PartnerLink)>,
+}
+
+impl PartnerTable {
+    fn find(&self, id: &PeerId) -> Result<usize, usize> {
+        // A joiner takes the largest id yet, so the links a join adds
+        // to existing tables all land at the end: check there first.
+        match self.entries.last() {
+            None => Err(0),
+            Some((last, _)) if last < id => Err(self.entries.len()),
+            _ => self.entries.binary_search_by(|(k, _)| k.cmp(id)),
+        }
+    }
+
+    /// Number of partners.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the table holds no partners.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Whether `id` is a partner.
+    pub fn contains_key(&self, id: &PeerId) -> bool {
+        self.find(id).is_ok()
+    }
+
+    /// The link to `id`, if it is a partner.
+    pub fn get(&self, id: &PeerId) -> Option<&PartnerLink> {
+        let i = self.find(id).ok()?;
+        Some(&self.entries[i].1)
+    }
+
+    /// The mutable link to `id`, if it is a partner.
+    pub fn get_mut(&mut self, id: &PeerId) -> Option<&mut PartnerLink> {
+        let i = self.find(id).ok()?;
+        Some(&mut self.entries[i].1)
+    }
+
+    /// Inserts or replaces the link to `id`, returning the replaced
+    /// link.
+    pub fn insert(&mut self, id: PeerId, link: PartnerLink) -> Option<PartnerLink> {
+        match self.find(&id) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, link)),
+            Err(i) => {
+                self.entries.insert(i, (id, link));
+                None
+            }
+        }
+    }
+
+    /// Removes the link to `id`, returning it.
+    pub fn remove(&mut self, id: &PeerId) -> Option<PartnerLink> {
+        let i = self.find(id).ok()?;
+        Some(self.entries.remove(i).1)
+    }
+
+    /// The partner at position `k` in ascending id order.
+    pub fn key_at(&self, k: usize) -> Option<PeerId> {
+        self.entries.get(k).map(|&(id, _)| id)
+    }
+
+    /// Links in ascending partner-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&PeerId, &PartnerLink)> {
+        self.entries.iter().map(|(id, l)| (id, l))
+    }
+
+    /// Mutable links in ascending partner-id order (ids stay fixed).
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&PeerId, &mut PartnerLink)> {
+        self.entries.iter_mut().map(|(id, l)| (&*id, l))
+    }
+
+    /// Partner ids in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = &PeerId> {
+        self.entries.iter().map(|(id, _)| id)
+    }
+
+    /// Mutable links in ascending partner-id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut PartnerLink> {
+        self.entries.iter_mut().map(|(_, l)| l)
+    }
+}
+
+/// Prints as a map, like the `BTreeMap` it stands in for.
+impl fmt::Debug for PartnerTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Index<&PeerId> for PartnerTable {
+    type Output = PartnerLink;
+
+    /// # Panics
+    ///
+    /// Panics if `id` is not a partner.
+    fn index(&self, id: &PeerId) -> &PartnerLink {
+        // lint:allow(C1): indexing a missing key is a caller bug, as with `BTreeMap`
+        self.get(id).expect("no partner link for this id")
+    }
+}
+
 /// The full state of one online peer (or streaming server).
 #[derive(Debug, Clone)]
 pub struct PeerState {
@@ -73,7 +189,7 @@ pub struct PeerState {
     /// always full, never leaves, never reports).
     pub is_server: bool,
     /// Partner table.
-    pub partners: BTreeMap<PeerId, PartnerLink>,
+    pub partners: PartnerTable,
     /// Buffer occupancy: fraction of the sliding window held.
     pub buffer_fill: f64,
     /// Aggregate receive throughput last tick (Kbps).
@@ -116,7 +232,7 @@ impl PeerState {
             joined,
             leaves,
             is_server: false,
-            partners: BTreeMap::new(),
+            partners: PartnerTable::default(),
             buffer_fill: 0.0,
             recv_kbps: 0.0,
             send_kbps: 0.0,
@@ -150,7 +266,7 @@ impl PeerState {
             joined: now,
             leaves: horizon,
             is_server: true,
-            partners: BTreeMap::new(),
+            partners: PartnerTable::default(),
             buffer_fill: 1.0,
             recv_kbps: 0.0,
             send_kbps: 0.0,
@@ -216,21 +332,25 @@ impl PeerState {
             .iter()
             .map(|(&id, l)| (id, l.score()))
             .collect(); // lint:allow(H2): scores this peer's own partner table, capped by the partner limit
+        let n = scored.len();
+        let k = n.min(target);
         if random_selection {
             // Fisher–Yates prefix shuffle.
-            let n = scored.len();
-            for i in 0..n.min(target) {
+            for i in 0..k {
                 let j = rng.random_range(i..n);
                 scored.swap(i, j);
             }
-        } else {
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        } else if k < n {
+            // Only the set of the `k` best counts, so a linear-time
+            // selection stands in for a sort; ids break score ties, so
+            // the set is the one a sort would pick.
+            scored.select_nth_unstable_by(k, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         }
-        let mut chosen: Vec<PeerId> = scored.into_iter().take(target).map(|(id, _)| id).collect(); // lint:allow(H2): chosen-supplier list over the capped partner table
-        chosen.sort_unstable();
-        // lint:allow(H3): this peer's own capped partner table - the event's peer, not the population
+        let chosen = &mut scored[..k];
+        chosen.sort_unstable_by_key(|&(id, _)| id);
+        let mut chosen = chosen.iter().map(|&(id, _)| id).peekable();
         for (id, link) in self.partners.iter_mut() {
-            link.supplier = chosen.binary_search(id).is_ok();
+            link.supplier = chosen.next_if_eq(id).is_some();
         }
     }
 
@@ -246,10 +366,14 @@ impl PeerState {
             .filter(|(_, l)| !l.supplier)
             .map(|(&id, l)| (id, l.score()))
             .collect(); // lint:allow(H2): victim list over the capped partner table, only when over the cap
-        victims.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let excess = self.partners.len() - max;
-        for (id, _) in victims.into_iter().take(excess) {
-            self.partners.remove(&id);
+        if excess < victims.len() {
+            // The `excess` worst, as a sort would order them (ids
+            // break score ties).
+            victims.select_nth_unstable_by(excess, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        }
+        for (id, _) in victims.iter().take(excess) {
+            self.partners.remove(id);
         }
     }
 
@@ -291,7 +415,6 @@ impl PeerState {
                 segments_received: l.recv_interval,
             })
             .collect(); // lint:allow(H2): a report lists this peer's own capped partner table
-                        // lint:allow(H3): interval-counter reset over this peer's own capped partner table
         for l in self.partners.values_mut() {
             l.sent_interval = 0;
             l.recv_interval = 0;
@@ -365,6 +488,117 @@ mod tests {
             SimTime::ORIGIN,
             SimTime::at(0, 2, 0),
         )
+    }
+
+    /// A link whose `sent_interval` tags it, for identity checks.
+    fn tagged(tag: u64) -> PartnerLink {
+        PartnerLink {
+            quality: quality(100.0, 10.0),
+            supplier: false,
+            est_recv_kbps: 100.0,
+            sent_interval: tag,
+            recv_interval: 0,
+            since: SimTime::ORIGIN,
+            stale_ticks: 0,
+        }
+    }
+
+    fn tags(t: &PartnerTable) -> Vec<(u32, u64)> {
+        t.iter().map(|(id, l)| (id.0, l.sent_interval)).collect()
+    }
+
+    #[test]
+    fn partner_table_keeps_ids_ascending() {
+        let mut t = PartnerTable::default();
+        assert!(t.is_empty());
+        for id in [7, 2, 9, 4, 0] {
+            assert!(t.insert(PeerId(id), tagged(u64::from(id))).is_none());
+        }
+        assert_eq!(tags(&t), vec![(0, 0), (2, 2), (4, 4), (7, 7), (9, 9)]);
+        assert_eq!(t.keys().map(|id| id.0).collect::<Vec<_>>(), [0, 2, 4, 7, 9]);
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.key_at(3), Some(PeerId(7)));
+        assert_eq!(t.key_at(5), None);
+        // Replacing keeps the position and returns the old link.
+        let old = t.insert(PeerId(4), tagged(40)).expect("4 was present");
+        assert_eq!(old.sent_interval, 4);
+        assert_eq!(t[&PeerId(4)].sent_interval, 40);
+        assert_eq!(t.remove(&PeerId(2)).map(|l| l.sent_interval), Some(2));
+        assert!(t.remove(&PeerId(2)).is_none());
+        assert!(!t.contains_key(&PeerId(2)) && t.contains_key(&PeerId(9)));
+        for l in t.values_mut() {
+            l.recv_interval = 1;
+        }
+        for (id, l) in t.iter_mut() {
+            l.sent_interval += u64::from(id.0);
+        }
+        assert_eq!(tags(&t), vec![(0, 0), (4, 44), (7, 14), (9, 18)]);
+        assert!(t.iter().all(|(_, l)| l.recv_interval == 1));
+        // Debug output reads like the map it replaces.
+        assert!(format!("{t:?}").starts_with("{PeerId(0): PartnerLink {"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no partner link")]
+    fn partner_table_index_panics_on_a_missing_id() {
+        let t = PartnerTable::default();
+        let _ = &t[&PeerId(1)];
+    }
+
+    /// Random insert/remove/`get_mut` sequences agree with a
+    /// `BTreeMap` model at every step: same entries in the same
+    /// order, same return values, same positional lookups.
+    #[test]
+    fn partner_table_matches_a_btreemap_model() {
+        use std::collections::BTreeMap;
+        for seed in 0..64 {
+            let mut rng = RngFactory::new(seed).fork("partner-table-model");
+            let mut table = PartnerTable::default();
+            let mut model: BTreeMap<PeerId, PartnerLink> = BTreeMap::new();
+            let span = 1 + seed as u32 % 48;
+            for step in 0..400u64 {
+                let id = PeerId(rng.random_range(0..span));
+                match rng.random_range(0..4u32) {
+                    0 | 1 => {
+                        let got = table.insert(id, tagged(step)).map(|l| l.sent_interval);
+                        let want = model.insert(id, tagged(step)).map(|l| l.sent_interval);
+                        assert_eq!(got, want, "insert {id:?} (seed {seed})");
+                    }
+                    2 => {
+                        let got = table.remove(&id).map(|l| l.sent_interval);
+                        let want = model.remove(&id).map(|l| l.sent_interval);
+                        assert_eq!(got, want, "remove {id:?} (seed {seed})");
+                    }
+                    _ => {
+                        if let Some(l) = table.get_mut(&id) {
+                            l.recv_interval += step;
+                        }
+                        if let Some(l) = model.get_mut(&id) {
+                            l.recv_interval += step;
+                        }
+                    }
+                }
+                assert_eq!(table.len(), model.len());
+                assert_eq!(table.contains_key(&id), model.contains_key(&id));
+                assert_eq!(
+                    table.get(&id).map(|l| l.sent_interval),
+                    model.get(&id).map(|l| l.sent_interval)
+                );
+                let got: Vec<(u32, u64, u64)> = table
+                    .iter()
+                    .map(|(k, l)| (k.0, l.sent_interval, l.recv_interval))
+                    .collect();
+                let want: Vec<(u32, u64, u64)> = model
+                    .iter()
+                    .map(|(k, l)| (k.0, l.sent_interval, l.recv_interval))
+                    .collect();
+                assert_eq!(got, want, "seed {seed} step {step}");
+                if !model.is_empty() {
+                    let k = rng.random_range(0..model.len());
+                    assert_eq!(table.key_at(k), model.keys().nth(k).copied());
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::peer::{PeerId, PeerState};
 use crate::tracker::{BootstrapPolicy, Tracker};
-use crate::transfer;
+use crate::transfer::{self, TransferScratch};
 use magellan_netsim::{AddrAllocator, Isp, IspDatabase, PeerAddr, RngFactory, SimTime};
 use magellan_trace::{PeerReport, ReportUplink, TraceServer, TraceStore, REPORT_INTERVAL};
 use magellan_workload::{ChannelId, FaultPlan, JoinEvent, Scenario};
@@ -127,6 +127,14 @@ pub struct OverlaySim {
     cfg: SimConfig,
     scenario: Scenario,
     peers: Vec<Option<PeerState>>,
+    /// Occupied slab slots (servers included), ascending. New ids are
+    /// always `peers.len()`, so pushing keeps the order. Slots that
+    /// empty mid-tick stay listed until the once-per-tick compaction
+    /// before maintenance; every per-tick pass walks this list, never
+    /// the slab. Rebuilt on resume, not serialized.
+    live_ids: Vec<u32>,
+    /// The transfer engine's slab-indexed memory, reused across ticks.
+    transfer: TransferScratch,
     /// Peer addresses by slab index; survives departure so reports
     /// referencing recently-dead partners still resolve.
     addrs: Vec<PeerAddr>,
@@ -160,6 +168,8 @@ impl OverlaySim {
             cfg,
             scenario,
             peers: Vec::new(),
+            live_ids: Vec::new(),
+            transfer: TransferScratch::default(),
             addrs: Vec::new(),
             isps: Vec::new(),
             tracker: Tracker::new(),
@@ -312,17 +322,23 @@ impl OverlaySim {
         //     drawn from the dedicated fault stream in slab
         //     order (deterministic per seed).
         for wave in state.faults.crash_waves_in(tick_start, tick_end) {
-            // lint:allow(H3): a crash wave is population-scale by definition; slab order keeps it deterministic
-            for i in 0..self.peers.len() {
-                match &self.peers[i] {
+            let ids = std::mem::take(&mut self.live_ids);
+            for &i in &ids {
+                match &self.peers[i as usize] {
                     Some(p) if !p.is_server => {}
                     _ => continue,
                 }
                 if state.fault_rng.random_range(0.0..1.0) < wave.fraction {
-                    self.crash(PeerId(i as u32), k, &mut state.summary.faults);
+                    self.crash(PeerId(i), k, &mut state.summary.faults);
                 }
             }
+            self.live_ids = ids;
         }
+
+        // Drop the slots departures and crashes emptied; from here to
+        // the end of the tick no peer leaves, so the list is exact.
+        let peers = &self.peers;
+        self.live_ids.retain(|&i| peers[i as usize].is_some());
 
         // 3. Per-peer maintenance.
         self.maintenance_pass(
@@ -340,6 +356,8 @@ impl OverlaySim {
         let faults_ref = &state.faults;
         let outcome = transfer::run_tick(
             &mut self.peers,
+            &self.live_ids,
+            &mut self.transfer,
             |ch| rates_ref.get(&ch).copied(),
             |a, b| faults_ref.path_open(a, b, tick_start),
             &self.cfg,
@@ -428,10 +446,19 @@ impl OverlaySim {
         for &addr in &ckpt.addrs {
             allocator.mark_used(addr);
         }
+        let live_ids = ckpt
+            .peers
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(i, _)| i as u32)
+            .collect();
         let sim = OverlaySim {
             cfg,
             scenario,
             peers: ckpt.peers.clone(),
+            live_ids,
+            transfer: TransferScratch::default(),
             addrs: ckpt.addrs.clone(),
             isps: ckpt.isps.clone(),
             tracker: Tracker::restore(&ckpt.tracker),
@@ -532,6 +559,7 @@ impl OverlaySim {
                     horizon,
                 );
                 self.peers.push(Some(server));
+                self.live_ids.push(id.0);
                 self.addrs.push(addr);
                 self.isps.push(isp);
                 self.tracker.register(ch, id, isp);
@@ -573,6 +601,7 @@ impl OverlaySim {
             peer.bootstrap_attempts = 1;
             peer.next_bootstrap_tick = tick_idx + self.backoff_ticks(1);
             self.peers.push(Some(peer));
+            self.live_ids.push(id.0);
             self.addrs.push(addr);
             self.isps.push(isp);
             self.live += 1;
@@ -588,6 +617,10 @@ impl OverlaySim {
             self.bootstrap_policy(),
             join_rng,
         );
+        // Links are sampled in candidate order (the RNG contract) but
+        // entered into the joiner's table in id order, so each insert
+        // appends. Candidates are distinct, so the table is the same.
+        let mut links = Vec::with_capacity(candidates.len());
         for cand in candidates {
             let Some(other) = self.peers[cand.index()].as_mut() else {
                 continue;
@@ -598,6 +631,10 @@ impl OverlaySim {
             }
             let quality = self.cfg.link_model.sample(link_rng, isp, other.isp);
             other.add_partner(id, quality, ev.time);
+            links.push((cand, quality));
+        }
+        links.sort_unstable_by_key(|&(cand, _)| cand);
+        for (cand, quality) in links {
             peer.add_partner(cand, quality, ev.time);
         }
         peer.select_suppliers(
@@ -606,6 +643,7 @@ impl OverlaySim {
             sel_rng,
         );
         self.peers.push(Some(peer));
+        self.live_ids.push(id.0);
         self.addrs.push(addr);
         self.isps.push(isp);
         self.tracker.register(ev.channel, id, isp);
@@ -685,8 +723,11 @@ impl OverlaySim {
         sel_rng: &mut StdRng,
         gossip_rng: &mut StdRng,
     ) {
-        let n = self.peers.len();
-        for i in 0..n {
+        // Maintenance never adds or removes peers, so the compacted
+        // live list can be walked while `self` is mutated.
+        let ids = std::mem::take(&mut self.live_ids);
+        for &i in &ids {
+            let i = i as usize;
             // Copy the per-peer reads out so the slot borrow ends
             // before the mutating phases below.
             let (id, channel, util, starving, retry_due) = {
@@ -888,6 +929,7 @@ impl OverlaySim {
                 p.prune_partners(membership_target);
             }
         }
+        self.live_ids = ids;
     }
 
     /// One gossip exchange for peer `i`: pick a random partner, adopt
@@ -919,11 +961,7 @@ impl OverlaySim {
             let p = self.live_ref(i);
             let k = rng.random_range(0..partner_count);
             // lint:allow(C1): k < partner_count == p.partners.len() by the range above
-            p.partners
-                .keys()
-                .nth(k)
-                .copied()
-                .expect("k within partner count")
+            p.partners.key_at(k).expect("k within partner count")
         };
         let Some(rec_state) = self.peers[recommender.index()].as_ref() else {
             return;
@@ -941,19 +979,25 @@ impl OverlaySim {
                 let same_isp = self.isps.get(pid.index()).copied() == Some(my_isp);
                 (pid, l.score(), same_isp)
             })
-            .collect(); // lint:allow(H2): gossip candidates from one peer's capped partner table
-        recs.sort_by(|a, b| {
-            ((locality && b.2), b.1)
-                .0
+            .collect(); // lint:allow(H2): gossip candidates from one peer's partner table
+                        // Best first; ids (ascending in `recs`) break ties. A server's
+                        // table can be large, so select the fanout before sorting it.
+        let order = |a: &(PeerId, f64, bool), b: &(PeerId, f64, bool)| {
+            (locality && b.2)
                 .cmp(&(locality && a.2))
                 .then(b.1.total_cmp(&a.1))
-        });
-        recs.truncate(self.cfg.gossip_fanout);
-        // Partner-table keys iterate in ascending order, so the known
-        // list is already sorted for the binary search below.
-        let my_known: Vec<PeerId> = self.live_ref(i).partners.keys().copied().collect(); // lint:allow(H2): known-list of one peer's capped partner table
+                .then(a.0.cmp(&b.0))
+        };
+        let fanout = self.cfg.gossip_fanout;
+        if recs.len() > fanout {
+            recs.select_nth_unstable_by(fanout, order);
+            recs.truncate(fanout);
+        }
+        recs.sort_unstable_by(order);
         for (cand, _, _) in recs {
-            if my_known.binary_search(&cand).is_ok() || cand.index() >= self.peers.len() {
+            // Candidates are distinct, so adopting one never makes a
+            // later one known.
+            if self.live_ref(i).partners.contains_key(&cand) || cand.index() >= self.peers.len() {
                 continue;
             }
             let Some(other) = &self.peers[cand.index()] else {
@@ -986,10 +1030,11 @@ impl OverlaySim {
     {
         let mut emitted = 0;
         let window = self.cfg.window_segments;
-        // Split borrows: address table is read-only during the pass.
-        let addrs = std::mem::take(&mut self.addrs);
-        for slot in self.peers.iter_mut() {
-            let Some(p) = slot else { continue };
+        let addrs = &self.addrs;
+        for &i in &self.live_ids {
+            let Some(p) = &mut self.peers[i as usize] else {
+                continue;
+            };
             let Some(due) = p.next_report else { continue };
             if due >= tick_end {
                 continue;
@@ -1008,7 +1053,6 @@ impl OverlaySim {
             sink(report);
             emitted += 1;
         }
-        self.addrs = addrs;
         emitted
     }
 
@@ -1021,8 +1065,10 @@ impl OverlaySim {
 
     /// Verifies structural invariants of the current overlay state;
     /// used by tests and available to callers after (or between)
-    /// runs. Checks that connections are mutual, supplier sets are
-    /// within bounds, and the live count matches the slab.
+    /// runs. Checks that connections are mutual, partner tables are
+    /// strictly ascending, supplier sets are within bounds, the live
+    /// count matches the slab, and the live index lists exactly the
+    /// occupied slots in ascending order.
     ///
     /// # Errors
     ///
@@ -1043,6 +1089,17 @@ impl OverlaySim {
                     "peer {i} holds {} partners (cap {})",
                     p.partners.len(),
                     self.cfg.max_partners
+                ));
+            }
+            if let Some(w) = p
+                .partners
+                .keys()
+                .zip(p.partners.keys().skip(1))
+                .find(|(a, b)| a >= b)
+            {
+                return Err(format!(
+                    "peer {i}'s partner table is not strictly ascending at {} -> {}",
+                    w.0 .0, w.1 .0
                 ));
             }
             let suppliers = p.suppliers().count();
@@ -1067,6 +1124,21 @@ impl OverlaySim {
                 "live count {} disagrees with slab ({live})",
                 self.live
             ));
+        }
+        self.check_live_index()
+    }
+
+    /// Checks that the live index lists exactly the occupied slab
+    /// slots, in ascending order. Holds between ticks.
+    fn check_live_index(&self) -> Result<(), String> {
+        let occupied = self
+            .peers
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(i, _)| i as u32);
+        if !occupied.eq(self.live_ids.iter().copied()) {
+            return Err("live index disagrees with the occupied slab slots".to_owned());
         }
         Ok(())
     }
@@ -1346,6 +1418,8 @@ pub(crate) mod tests {
         drop((sim, state));
         let ckpt = crate::checkpoint::SimCheckpoint::decode(&bytes).expect("decodes");
         let (mut sim, mut state) = OverlaySim::resume(scenario, quick_cfg(), &ckpt);
+        sim.check_live_index()
+            .expect("live index rebuilt from the slab");
         while sim.tick_once(&mut state, &mut sink).expect("tick") {}
 
         assert_eq!(state.summary, clean, "summaries diverged");
@@ -1375,6 +1449,39 @@ pub(crate) mod tests {
         let mut s = tiny_scenario(14);
         s.faults = FaultPlan::combined_stress(0);
         assert_resume_is_identical(s, (1, 3));
+    }
+
+    #[test]
+    fn checkpoint_resume_mid_churn_rebuilds_the_live_index() {
+        // Stopped at 20:00, inside the tracker outage and before the
+        // crash wave: most slab slots are dead and the resumed run
+        // rebuilds its live index from the checkpoint's slab.
+        let mut s = tiny_scenario(16);
+        s.faults = FaultPlan::combined_stress(0);
+        assert_resume_is_identical(s, (5, 6));
+    }
+
+    #[test]
+    fn live_index_check_catches_a_list_that_disagrees_with_the_slab() {
+        let mut sim = OverlaySim::new(tiny_scenario(11), quick_cfg());
+        let mut state = sim.begin();
+        for _ in 0..40 {
+            sim.tick_once(&mut state, &mut |_| {}).expect("tick");
+        }
+        sim.check_live_index().expect("consistent after 40 ticks");
+        assert!(sim.live_ids.len() < sim.peers.len(), "no dead slots yet");
+        let last = sim.live_ids.pop().expect("someone is live");
+        assert!(
+            sim.check_live_index().is_err(),
+            "missing live id not caught"
+        );
+        sim.live_ids.push(last);
+        let dead = (0..sim.peers.len() as u32)
+            .find(|&i| sim.peers[i as usize].is_none())
+            .expect("a dead slot");
+        let at = sim.live_ids.partition_point(|&i| i < dead);
+        sim.live_ids.insert(at, dead);
+        assert!(sim.check_live_index().is_err(), "dead live id not caught");
     }
 
     #[test]

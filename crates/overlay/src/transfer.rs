@@ -16,7 +16,7 @@
 
 use crate::config::SimConfig;
 use crate::error::TransferError;
-use crate::peer::PeerState;
+use crate::peer::{PeerId, PeerState};
 use magellan_workload::ChannelId;
 
 /// Aggregate outcome of one tick, for instrumentation.
@@ -35,10 +35,13 @@ pub struct TickOutcome {
     pub blocked_flows: usize,
 }
 
-/// One receiver→supplier request channel. `want` holds the static
-/// allocation weight; `cap` the remaining path capacity (segments).
+/// One receiver→supplier request channel. `sup` is the supplier's
+/// slab id and `si` its rank in the live list, which indexes the
+/// tick's per-supplier arrays. `want` holds the static allocation
+/// weight; `cap` the remaining path capacity (segments).
 struct Flow {
     sup: u32,
+    si: u32,
     rcv: u32,
     want: f64,
     cap: f64,
@@ -48,20 +51,44 @@ struct Flow {
 /// tick's flattened flow arena (one allocation for the whole tick
 /// instead of one `Vec` per receiver).
 struct RecvCtx {
+    rcv: u32,
     demand: f64,
     lo: u32,
     hi: u32,
 }
 
-/// Runs one transfer tick over the peer slab.
+/// Rank of a listed slot that turns out to be empty.
+const NOT_LIVE: u32 = u32::MAX;
+
+/// The slab-indexed memory of [`run_tick`], owned by the caller and
+/// reused across ticks, so a tick allocates nothing in proportion to
+/// the slab.
+///
+/// It maps a slab id to the slot's rank in the live list, which
+/// indexes every per-supplier array of the tick. Each tick rewrites
+/// the ranks of the live slots only, so an id is live exactly when
+/// `live[rank[id]] == id`: a departed slot's stale rank points past
+/// the list or at another id.
+#[derive(Debug, Default)]
+pub struct TransferScratch {
+    rank: Vec<u32>,
+}
+
+/// Runs one transfer tick over the live peers of the slab.
+///
+/// `live` lists the occupied slots of `peers` in ascending order (it
+/// must be ascending; the simulator passes its live index). Only
+/// listed slots take part — as receivers or as suppliers — so a tick
+/// costs O(live peers + flows) however many slots departed peers left
+/// behind. Listed slots that are empty are skipped; links to dead
+/// peers contribute nothing (the simulator purges them separately).
+/// `scratch` is reused from tick to tick.
 ///
 /// `rate_of` maps a channel to its stream rate in Kbps, returning
-/// `None` for channels it does not know. Dead slots (`None` peers)
-/// are skipped; links to dead peers contribute nothing (the simulator
-/// purges them separately). `link_open` answers whether the underlay
-/// path between a receiver's ISP and a supplier's ISP is currently
-/// open — an active inter-ISP partition closes it, and closed links
-/// carry no segments this tick (counted in
+/// `None` for channels it does not know. `link_open` answers whether
+/// the underlay path between a receiver's ISP and a supplier's ISP is
+/// currently open — an active inter-ISP partition closes it, and
+/// closed links carry no segments this tick (counted in
 /// [`TickOutcome::blocked_flows`]).
 ///
 /// # Errors
@@ -72,6 +99,8 @@ struct RecvCtx {
 /// output computed from it would be garbage.
 pub fn run_tick<F, L>(
     peers: &mut [Option<PeerState>],
+    live: &[u32],
+    scratch: &mut TransferScratch,
     rate_of: F,
     link_open: L,
     cfg: &SimConfig,
@@ -90,30 +119,60 @@ where
         }
         Ok(rate)
     };
+    // Per-supplier state lives in dense arrays indexed by live rank,
+    // which every flow carries: the request/grant rounds below touch
+    // each entry many times per tick, so O(1) indexing replaces the
+    // tree walks that used to dominate the tick. One ascending walk
+    // of the live slots fills them, so pass A reads these small
+    // arrays instead of chasing each supplier's slab slot.
+    let rank = &mut scratch.rank;
+    if rank.len() < peers.len() {
+        rank.resize(peers.len(), NOT_LIVE);
+    }
+    let mut sup_isp = Vec::with_capacity(live.len());
+    let mut advertised = Vec::with_capacity(live.len());
+    let mut budget_left = Vec::with_capacity(live.len());
+    let mut useful = Vec::with_capacity(live.len());
+    for (r, &j) in live.iter().enumerate() {
+        let Some(p) = peers[j as usize].as_ref() else {
+            rank[j as usize] = NOT_LIVE;
+            sup_isp.push(magellan_netsim::Isp::Telecom);
+            advertised.push(0.0);
+            budget_left.push(0.0);
+            useful.push(0.0);
+            continue;
+        };
+        rank[j as usize] = r as u32;
+        sup_isp.push(p.isp);
+        advertised.push(if p.is_server { 1.0 } else { p.buffer_fill });
+        budget_left.push(cfg.capacity_segments_per_tick(p.capacity.up_kbps));
+        // Receivers aim requests at advertised segments, so delivery
+        // is not discounted linearly in occupancy; what remains is
+        // the holdings/missing overlap, which only collapses for
+        // badly under-filled suppliers — a square root captures that
+        // (q=0.25 → 0.5).
+        useful.push(if p.is_server {
+            1.0
+        } else {
+            p.buffer_fill.max(0.0).sqrt()
+        });
+    }
+
     // Pass A: per-receiver context (demand plus eligible supplier
-    // links) and per-supplier budgets/usefulness.
-    //
-    // All per-supplier state lives in dense slab-indexed arrays:
-    // slot ids are already dense, and the request/grant rounds below
-    // touch each entry many times per tick, so O(1) indexing replaces
-    // the tree walks that used to dominate the tick. `NAN` marks "no
-    // budget entry yet", preserving the lazy-insert semantics of the
-    // keyed map this replaces (NaN fails every `> 1e-9` eligibility
-    // test exactly as an absent key did).
+    // links).
     //
     // Request weights combine the link's goodput estimate with the
     // supplier's advertised buffer occupancy — peers exchange buffer
     // maps periodically (§3.1), so they know who actually holds
     // useful segments. A small floor keeps exploring partners whose
     // buffers are still filling.
-    let n = peers.len();
-    let mut budget_left = vec![f64::NAN; n];
-    let mut useful = vec![0.0f64; n];
     let mut flows: Vec<Flow> = Vec::new();
     let mut recvs: Vec<RecvCtx> = Vec::new();
     let mut blocked_flows = 0usize;
-    for (j, slot) in peers.iter().enumerate() {
-        let Some(p) = slot else { continue };
+    for &j in live {
+        let Some(p) = peers[j as usize].as_ref() else {
+            continue;
+        };
         if p.is_server {
             continue;
         }
@@ -124,27 +183,15 @@ where
         }
         let lo = flows.len();
         for (&id, l) in p.partners.iter().filter(|(_, l)| l.supplier) {
-            let Some(sup) = peers[id.index()].as_ref() else {
-                continue;
+            let si = match rank.get(id.index()) {
+                Some(&r) if live.get(r as usize) == Some(&id.0) => r,
+                _ => continue, // a dead supplier
             };
-            if !link_open(p.isp, sup.isp) {
+            if !link_open(p.isp, sup_isp[si as usize]) {
                 blocked_flows += 1;
                 continue;
             }
-            let advertised = if sup.is_server { 1.0 } else { sup.buffer_fill };
-            if budget_left[id.index()].is_nan() {
-                budget_left[id.index()] = cfg.capacity_segments_per_tick(sup.capacity.up_kbps);
-                // Receivers aim requests at advertised segments, so
-                // delivery is not discounted linearly in occupancy;
-                // what remains is the holdings/missing overlap, which
-                // only collapses for badly under-filled suppliers —
-                // a square root captures that (q=0.25 → 0.5).
-                useful[id.index()] = if sup.is_server {
-                    1.0
-                } else {
-                    sup.buffer_fill.max(0.0).sqrt()
-                };
-            }
+            let advertised = advertised[si as usize];
             // Raising the weight to `request_concentration`
             // concentrates requests on the few best partners, as
             // a real block scheduler does — this is what keeps
@@ -161,7 +208,8 @@ where
             };
             flows.push(Flow {
                 sup: id.0,
-                rcv: j as u32,
+                si,
+                rcv: j,
                 want: w.powf(cfg.request_concentration),
                 cap: cfg.capacity_segments_per_tick(l.quality.bandwidth_kbps),
             });
@@ -170,6 +218,7 @@ where
             continue;
         }
         recvs.push(RecvCtx {
+            rcv: j,
             demand,
             lo: lo as u32,
             hi: flows.len() as u32,
@@ -192,25 +241,18 @@ where
     // here sums a link's increments in arrival order — the same order
     // a keyed map's entry API produced, hence identical float totals.
     let mut flow_moved = vec![0.0f64; flows.len()];
-    // Round-scoped dense scratch, hoisted so the rounds reuse the
-    // allocations; `touched` lists the suppliers requested this round
-    // so the reset costs O(touched), not O(slab).
-    let mut requested = vec![0.0f64; n];
-    let mut scale = vec![0.0f64; n];
-    let mut touched: Vec<u32> = Vec::new();
+    let mut requested = vec![0.0f64; live.len()];
+    let mut scale = vec![0.0f64; live.len()];
     let mut round_flows: Vec<(u32, u32, f64)> = Vec::new();
     for _ in 0..ROUNDS {
-        for &s in &touched {
-            requested[s as usize] = 0.0;
-        }
-        touched.clear();
+        requested.fill(0.0);
         round_flows.clear();
         for (ri, rc) in recvs.iter().enumerate() {
             if rc.demand <= 1e-6 {
                 continue;
             }
             let links = &flows[rc.lo as usize..rc.hi as usize];
-            let eligible = |l: &Flow| l.cap > 1e-9 && budget_left[l.sup as usize] > 1e-9;
+            let eligible = |l: &Flow| l.cap > 1e-9 && budget_left[l.si as usize] > 1e-9;
             let tw: f64 = links.iter().filter(|l| eligible(l)).map(|l| l.want).sum();
             if tw <= 0.0 {
                 continue;
@@ -223,12 +265,7 @@ where
                 if ask <= 1e-9 {
                     continue;
                 }
-                // Asks are strictly positive, so a zero entry means
-                // "first request for this supplier this round".
-                if requested[l.sup as usize] == 0.0 {
-                    touched.push(l.sup);
-                }
-                requested[l.sup as usize] += ask;
+                requested[l.si as usize] += ask;
                 round_flows.push((ri as u32, rc.lo + off as u32, ask));
             }
         }
@@ -236,35 +273,33 @@ where
             break;
         }
         // The scale snapshot must be taken before budgets drain.
-        for &s in &touched {
-            let b = budget_left[s as usize];
-            let req = requested[s as usize];
-            scale[s as usize] = if req > b { b / req } else { 1.0 };
+        for ((sc, &req), &b) in scale.iter_mut().zip(&requested).zip(&budget_left) {
+            *sc = if req > b { b / req } else { 1.0 };
         }
         for &(ri, fi, ask) in &round_flows {
-            let (sup, cap) = {
+            let (si, cap) = {
                 let f = &flows[fi as usize];
-                (f.sup, f.cap)
+                (f.si as usize, f.cap)
             };
-            let moved = (ask * scale[sup as usize]).min(cap) * useful[sup as usize];
+            let moved = (ask * scale[si]).min(cap) * useful[si];
             if moved <= 1e-9 {
                 continue;
             }
             flow_moved[fi as usize] += moved;
             recvs[ri as usize].demand = (recvs[ri as usize].demand - moved).max(0.0);
             flows[fi as usize].cap -= moved;
-            budget_left[sup as usize] = (budget_left[sup as usize] - moved).max(0.0);
+            budget_left[si] = (budget_left[si] - moved).max(0.0);
             outcome.segments += moved;
         }
     }
 
-    // Flatten into deterministic per-peer aggregates. The flow arena
-    // is in (receiver, supplier) order (receivers in slab order, each
-    // one's partner table in ascending id order), so both sums below
-    // visit a peer's links in ascending-counterpart order — the same
-    // order the sorted per-link map produced, hence identical sums.
-    let mut delivered_to = vec![0.0f64; n];
-    let mut sent_by = vec![0.0f64; n];
+    // The flow arena is in (receiver, supplier) order: receivers in
+    // slab order, each one's partner table in ascending id order. The
+    // supplier-side view is a stable counting sort of the delivering
+    // flows by supplier rank: groups in ascending supplier id, each in
+    // (ascending) receiver order. After placement `sup_end[r]` is the
+    // end of rank `r`'s group, which starts where rank `r - 1`'s ends.
+    let mut sup_end = vec![0u32; live.len()];
     for (f, &moved) in flows.iter().zip(&flow_moved) {
         if moved <= 0.0 {
             continue;
@@ -272,77 +307,91 @@ where
         if moved >= 1.0 {
             outcome.active_flows += 1;
         }
-        delivered_to[f.rcv as usize] += moved;
-        sent_by[f.sup as usize] += moved;
+        sup_end[f.si as usize] += 1;
     }
-
-    // Pass D: apply per-peer effects.
-    for (j, slot) in peers.iter_mut().enumerate() {
-        let Some(p) = slot else { continue };
-        if p.is_server {
-            p.send_kbps = cfg.segments_to_kbps(sent_by[j]);
-            continue;
-        }
-        let rate = rate_of(p.channel)?;
-        let delivered = delivered_to[j];
-        let demand = p.demand_segments(cfg, rate);
-        if delivered + 1e-9 >= demand.min(cfg.stream_segments_per_tick(rate)) && demand > 0.0 {
-            outcome.satisfied_receivers += 1;
-        }
-        p.apply_tick_delivery(cfg, rate, delivered);
-        p.send_kbps = cfg.segments_to_kbps(sent_by[j]);
+    let mut delivering = 0u32;
+    for c in sup_end.iter_mut() {
+        let n = *c;
+        *c = delivering;
+        delivering += n;
     }
-
-    // Passes E/F, fused: per-link counters and EWMA estimates on both
-    // endpoints, plus the decay of selected suppliers that delivered
-    // nothing this tick. Without the decay, an untried partner's
-    // optimistic prior would permanently outrank a supplier that is
-    // actually delivering (the observed rate per link is well below
-    // the path ceiling once demand is split 30 ways); a floor of 5 %
-    // of the path ceiling keeps failed links re-triable. The two
-    // passes touch disjoint per-link state (a selected supplier link
-    // either delivered — E updates it — or did not — F decays it), so
-    // fusing them changes nothing observable.
-    //
-    // The flow arena is already in (receiver, supplier) order; the
-    // supplier-side view is derived with a stable counting sort over
-    // the delivering flows (`by_sup`, sorted by (supplier, receiver)).
-    // The peer slab and every partner table are both walked in
-    // ascending order, so each peer's incoming and outgoing
-    // deliveries merge with its partner walk via monotone cursors —
-    // no per-link map lookups.
-    let mut sup_start = vec![0u32; n + 1];
-    for (f, &moved) in flows.iter().zip(&flow_moved) {
-        if moved > 0.0 {
-            sup_start[f.sup as usize + 1] += 1;
-        }
-    }
-    for s in 1..=n {
-        sup_start[s] += sup_start[s - 1];
-    }
-    let mut by_sup = vec![0u32; sup_start[n] as usize];
-    let mut sup_fill = sup_start.clone(); // lint:allow(H2): counting-sort cursor copy, one per tick, bounded by the slab
+    let mut by_sup = vec![0u32; delivering as usize];
     for (fi, (f, &moved)) in flows.iter().zip(&flow_moved).enumerate() {
         if moved > 0.0 {
-            let c = &mut sup_fill[f.sup as usize];
+            let c = &mut sup_end[f.si as usize];
             by_sup[*c as usize] = fi as u32;
             *c += 1;
         }
     }
-    let mut in_cursor = 0usize;
-    for (j, slot) in peers.iter_mut().enumerate() {
-        let j32 = j as u32;
-        // This slot's outgoing deliveries (ascending receiver) and
-        // incoming request channels (ascending supplier; entries that
-        // moved nothing stay — they drive the estimate decay below).
-        let outgoing = &by_sup[sup_start[j] as usize..sup_start[j + 1] as usize];
-        let in_lo = in_cursor;
-        while in_cursor < flows.len() && flows[in_cursor].rcv == j32 {
-            in_cursor += 1;
+
+    // Passes D/E/F, fused into one walk of the live peers: per-peer
+    // rates and occupancy (D), then per-link counters and EWMA
+    // estimates on both endpoints, plus the decay of selected
+    // suppliers that delivered nothing this tick (E/F). Each step
+    // reads and writes only the visited peer's own state, so fusing
+    // them changes nothing observable.
+    //
+    // A peer's delivered and sent totals sum its incoming and
+    // outgoing flows in arena order — the order the per-peer
+    // accumulators of a slab-wide pass would use — hence identical
+    // float sums. Without the decay, an untried partner's optimistic
+    // prior would permanently outrank a supplier that is actually
+    // delivering (the observed rate per link is well below the path
+    // ceiling once demand is split 30 ways); a floor of 5 % of the
+    // path ceiling keeps failed links re-triable.
+    //
+    // Live peers, receivers and supplier groups are all in ascending
+    // id order, and so is every partner table, so each peer's
+    // incoming and outgoing deliveries merge with its partner walk via
+    // monotone cursors — no per-link map lookups.
+    let mut next_recv = 0usize;
+    let mut out_lo = 0usize;
+    for (&j, &out_hi) in live.iter().zip(sup_end.iter()) {
+        let outgoing = &by_sup[out_lo..out_hi as usize];
+        out_lo = out_hi as usize;
+        let Some(p) = peers[j as usize].as_mut() else {
+            continue;
+        };
+        let (in_lo, in_hi) = match recvs.get(next_recv) {
+            Some(rc) if rc.rcv == j => {
+                next_recv += 1;
+                (rc.lo as usize, rc.hi as usize)
+            }
+            _ => (0, 0),
+        };
+
+        let mut sent = 0.0f64;
+        for &fi in outgoing {
+            sent += flow_moved[fi as usize];
         }
-        let in_hi = in_cursor;
-        let Some(p) = slot else { continue };
-        let is_server = p.is_server;
+        p.send_kbps = cfg.segments_to_kbps(sent);
+        if !p.is_server {
+            let mut delivered = 0.0f64;
+            for &moved in &flow_moved[in_lo..in_hi] {
+                if moved > 0.0 {
+                    delivered += moved;
+                }
+            }
+            let rate = rate_of(p.channel)?;
+            let demand = p.demand_segments(cfg, rate);
+            if delivered + 1e-9 >= demand.min(cfg.stream_segments_per_tick(rate)) && demand > 0.0 {
+                outcome.satisfied_receivers += 1;
+            }
+            p.apply_tick_delivery(cfg, rate, delivered);
+        }
+
+        if p.is_server {
+            // A server only sends, and its table keeps every peer that
+            // ever pruned it (DESIGN.md §8), so probe it per delivery
+            // instead of walking it.
+            for &fi in outgoing {
+                let f = &flows[fi as usize];
+                if let Some(link) = p.partners.get_mut(&PeerId(f.rcv)) {
+                    link.sent_interval += flow_moved[fi as usize].round() as u64;
+                }
+            }
+            continue;
+        }
         let mut oi = 0usize;
         let mut ii = in_lo;
         for (pid, link) in p.partners.iter_mut() {
@@ -363,7 +412,7 @@ where
                 link.recv_interval += moved.round() as u64;
                 link.est_recv_kbps = (1.0 - cfg.throughput_ewma) * link.est_recv_kbps
                     + cfg.throughput_ewma * cfg.segments_to_kbps(moved);
-            } else if !is_server && link.supplier {
+            } else if link.supplier {
                 link.est_recv_kbps = ((1.0 - cfg.throughput_ewma) * link.est_recv_kbps)
                     .max(0.05 * link.quality.bandwidth_kbps);
             }
@@ -375,7 +424,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peer::PeerId;
     use magellan_netsim::{AccessClass, Isp, LinkQuality, PeerAddr, PeerCapacity, SimTime};
     use magellan_workload::ChannelId;
 
@@ -418,6 +466,28 @@ mod tests {
         }
     }
 
+    /// The occupied slots of `peers`, ascending: the live list the
+    /// simulator maintains.
+    fn live_of(peers: &[Option<PeerState>]) -> Vec<u32> {
+        (0..peers.len() as u32)
+            .filter(|&i| peers[i as usize].is_some())
+            .collect()
+    }
+
+    /// One tick over every occupied slot with a fresh scratch.
+    fn tick(peers: &mut [Option<PeerState>], cfg: &SimConfig) -> TickOutcome {
+        let live = live_of(peers);
+        run_tick(
+            peers,
+            &live,
+            &mut TransferScratch::default(),
+            |_| Some(RATE),
+            |_, _| true,
+            cfg,
+        )
+        .expect("rates known")
+    }
+
     /// Connects a (receiver -> supplier) pair on both endpoints and
     /// marks the supplier selected.
     fn connect(peers: &mut [Option<PeerState>], rcv: u32, sup: u32, bw: f64) {
@@ -446,7 +516,7 @@ mod tests {
             Some(mk_peer(1, 512.0, 2_000.0)),
         ];
         connect(&mut peers, 1, 0, 5_000.0);
-        let out = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let out = tick(&mut peers, &cfg());
         let p = peers[1].as_ref().unwrap();
         assert!(
             p.recv_kbps >= RATE * 0.99,
@@ -468,7 +538,7 @@ mod tests {
             Some(mk_peer(2, 512.0, 2_000.0)),
         ];
         connect(&mut peers, 1, 2, 1_000.0);
-        let out = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let out = tick(&mut peers, &cfg());
         assert_eq!(peers[1].as_ref().unwrap().recv_kbps, 0.0);
         assert_eq!(out.satisfied_receivers, 0);
     }
@@ -481,7 +551,7 @@ mod tests {
         ];
         peers[0].as_mut().unwrap().buffer_fill = 1.0;
         connect(&mut peers, 1, 0, 1_000.0);
-        let _ = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let _ = tick(&mut peers, &cfg());
         let r = peers[1].as_ref().unwrap();
         // The 512 Kbps uplink covers the 400 Kbps stream.
         assert!(r.recv_kbps > 390.0, "recv = {}", r.recv_kbps);
@@ -500,7 +570,7 @@ mod tests {
         for i in 1..=4 {
             connect(&mut peers, i, 0, 1_000.0);
         }
-        let _ = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let _ = tick(&mut peers, &cfg());
         let sup = peers[0].as_ref().unwrap();
         assert!(
             sup.send_kbps <= 512.0 * 1.01,
@@ -524,7 +594,7 @@ mod tests {
             Some(mk_peer(1, 512.0, 5_000.0)),
         ];
         connect(&mut peers, 1, 0, 100.0); // terrible path: 100 Kbps
-        let _ = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let _ = tick(&mut peers, &cfg());
         let r = peers[1].as_ref().unwrap();
         assert!(r.recv_kbps <= 105.0, "recv = {}", r.recv_kbps);
     }
@@ -536,7 +606,7 @@ mod tests {
             Some(mk_peer(1, 512.0, 2_000.0)),
         ];
         connect(&mut peers, 1, 0, 5_000.0);
-        let _ = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let _ = tick(&mut peers, &cfg());
         let recv = peers[1].as_ref().unwrap().partners[&PeerId(0)].recv_interval;
         let sent = peers[0].as_ref().unwrap().partners[&PeerId(1)].sent_interval;
         assert!(recv > 0);
@@ -551,7 +621,7 @@ mod tests {
         ];
         connect(&mut peers, 1, 0, 5_000.0);
         let before = peers[1].as_ref().unwrap().partners[&PeerId(0)].est_recv_kbps;
-        let _ = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let _ = tick(&mut peers, &cfg());
         let after = peers[1].as_ref().unwrap().partners[&PeerId(0)].est_recv_kbps;
         // Observation (~stream-rate share) is far below the 5000 prior.
         assert!(
@@ -568,7 +638,7 @@ mod tests {
         ];
         connect(&mut peers, 1, 0, 5_000.0);
         peers[0] = None; // supplier vanished
-        let out = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let out = tick(&mut peers, &cfg());
         assert_eq!(out.segments, 0.0);
         assert_eq!(peers[1].as_ref().unwrap().recv_kbps, 0.0);
     }
@@ -583,7 +653,7 @@ mod tests {
         peers[1].as_mut().unwrap().buffer_fill = 0.8;
         connect(&mut peers, 1, 0, 1_000.0);
         connect(&mut peers, 0, 1, 1_000.0);
-        let out = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let out = tick(&mut peers, &cfg());
         assert!(out.active_flows >= 2, "flows = {}", out.active_flows);
         let a = &peers[0].as_ref().unwrap().partners[&PeerId(1)];
         let b = &peers[1].as_ref().unwrap().partners[&PeerId(0)];
@@ -612,7 +682,7 @@ mod tests {
             mk(&mut peers);
             connect(&mut peers, 2, 0, 5_000.0); // excellent path
             connect(&mut peers, 2, 1, 200.0); // poor path
-            let _ = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg).expect("rates known");
+            let _ = tick(&mut peers, &cfg);
             let a = peers[2].as_ref().unwrap().partners[&PeerId(0)].recv_interval as f64;
             let b = peers[2].as_ref().unwrap().partners[&PeerId(1)].recv_interval as f64;
             (a, b)
@@ -633,7 +703,72 @@ mod tests {
     #[test]
     fn empty_slab_is_a_noop() {
         let mut peers: Vec<Option<PeerState>> = vec![None, None];
-        let out = run_tick(&mut peers, |_| Some(RATE), |_, _| true, &cfg()).expect("rates known");
+        let out = tick(&mut peers, &cfg());
         assert_eq!(out, TickOutcome::default());
+    }
+
+    /// Bit patterns of everything a tick writes, in slab order.
+    fn tick_state(peers: &[Option<PeerState>]) -> Vec<[u64; 3]> {
+        let mut out = Vec::new();
+        for p in peers.iter().flatten() {
+            out.push([
+                p.recv_kbps.to_bits(),
+                p.send_kbps.to_bits(),
+                p.buffer_fill.to_bits(),
+            ]);
+            for (_, l) in p.partners.iter() {
+                out.push([l.est_recv_kbps.to_bits(), l.sent_interval, l.recv_interval]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dead_slots_between_live_peers_change_nothing() {
+        // The same server and three peers, packed into a dense slab
+        // and spread over one with dead slots between suppliers and
+        // receivers. Ticks must agree bit for bit, and one scratch
+        // reused across the spread ticks must match a fresh scratch
+        // per dense tick.
+        let build = |[s, a, b, c]: [u32; 4], len: usize| {
+            let mut peers: Vec<Option<PeerState>> = (0..len).map(|_| None).collect();
+            peers[s as usize] = Some(mk_server(s, 1_000.0));
+            for i in [a, b, c] {
+                peers[i as usize] = Some(mk_peer(i, 512.0, 2_000.0));
+            }
+            peers[a as usize].as_mut().unwrap().buffer_fill = 1.0;
+            peers[b as usize].as_mut().unwrap().buffer_fill = 0.3;
+            connect(&mut peers, c, s, 800.0);
+            connect(&mut peers, c, a, 600.0);
+            connect(&mut peers, c, b, 400.0);
+            connect(&mut peers, b, a, 700.0);
+            connect(&mut peers, a, b, 300.0);
+            connect(&mut peers, b, s, 900.0);
+            peers
+        };
+        let mut dense = build([0, 1, 2, 3], 4);
+        let mut spread = build([1, 4, 5, 9], 12);
+        let live = live_of(&spread);
+        assert_eq!(live, vec![1, 4, 5, 9]);
+        let mut scratch = TransferScratch::default();
+        for t in 0..4 {
+            let want = tick(&mut dense, &cfg());
+            let got = run_tick(
+                &mut spread,
+                &live,
+                &mut scratch,
+                |_| Some(RATE),
+                |_, _| true,
+                &cfg(),
+            )
+            .expect("rates known");
+            assert!(want.segments > 0.0 && want.active_flows >= 3, "{want:?}");
+            assert_eq!(got, want, "outcome diverged at tick {t}");
+            assert_eq!(
+                tick_state(&spread),
+                tick_state(&dense),
+                "peer state diverged at tick {t}"
+            );
+        }
     }
 }

@@ -8,9 +8,10 @@
 # 1 vs 8 workers, the legacy DiGraph-walk baselines the kernels
 # replaced, the magellan-traced ingest throughput (reports/sec through
 # one shard's sans-I/O admission path), cold/warm wall time of the
-# magellan-lint gate, end-to-end study latency per sample instant, and
-# host_cores (thread scaling is only physically possible when the
-# measuring box has >1 core).
+# magellan-lint gate, the overlay sim's wall time over 1 and 2 days of
+# the benchmark's study scenario and their ratio, end-to-end study
+# latency per sample instant, and host_cores (thread scaling is only
+# physically possible when the measuring box has >1 core).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
